@@ -31,15 +31,6 @@ from .poly import OrderingTag, Ring, render
 #: Local Picard group orders by Dynkin type (D/E), with A_n mapping to n+1.
 PIC_ORDER = {"D": 4, "E6": 3, "E7": 2, "E8": 1}
 
-#: Characteristic-zero local fundamental groups (name, order) for reference.
-PI1_CHAR0 = {
-    "A": ("cyclic", "n+1"),
-    "D": ("dihedral", "2(n-2)"),
-    "E6": ("~A4", 24),
-    "E7": ("~S4", 48),
-    "E8": ("~A5", 120),
-}
-
 E6_0_CHAR2_NOTE = (
     "E_6^0 in characteristic 2: the catalog follows the case analysis, which "
     "blocks E_6^0 through its nontrivial local fundamental group pi_1 = C_3 "
@@ -151,16 +142,6 @@ def table_records() -> Tuple[SingularityRecord, ...]:
         _validate(rec)
         records.append(rec)
     return tuple(records)
-
-
-def _e_coindex_range(n: int, char: int) -> range:
-    ranges = {
-        2: {6: 2, 7: 4, 8: 5},
-        3: {6: 2, 7: 2, 8: 3},
-        5: {8: 2},
-    }
-    count = ranges.get(char, {}).get(n, 0)
-    return range(count)
 
 
 def _an_record(n: int, char: int) -> SingularityRecord:

@@ -103,7 +103,7 @@ def _recompute_row(rec) -> dict:
     jac = jacobian_ideal(germ)
     lj = local_length(jac)
     ljp = local_length(bracket_ideal(jac, germ))
-    theta = (ljp == p * p * lj) if lj != INFINITE and ljp != INFINITE else None
+    theta = (ljp == p ** germ.dim * lj) if lj != INFINITE and ljp != INFINITE else None
     return {
         "label": rec.label, "equation": rec.equation, "pi1": rec.pi1,
         "len_j": _fin(lj), "len_jp": _fin(ljp), "theta_free": theta,
@@ -241,7 +241,7 @@ def _add_common(sub):
     sub.add_argument("--vars", default="x,y,z", help="comma-separated variable names (default x,y,z)")
     sub.add_argument("--json", action="store_true", help="deterministic JSON output")
     sub.add_argument("--step-cap", type=int, default=None,
-                     help="engine reduction work budget (default 10^6 units)")
+                     help="engine reduction work budget, a positive integer (default 10^6 units)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,6 +289,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
+        if args.step_cap is not None and args.step_cap < 1:
+            raise UsageError(f"--step-cap must be a positive integer, got {args.step_cap}")
         return args.func(args)
     except ParseError as exc:
         _stderr_note({"error": "parse error", "position": exc.position, "message": exc.message})

@@ -14,6 +14,36 @@ origin.  Tail terms of a local normal form may still be divisible by
 leading terms; full tail reduction need not terminate in a localization
 and nothing downstream needs it.
 
+Highest corner.  Under the local ordering the completion watches for the
+corner degree D of its partial basis S: the least degree such that every
+monomial of degree D is divisible by a leading monomial of S.  It exists
+once every variable has a pure power among the leading monomials, and it
+is read off the current leading monomials, never assumed.  Soundness: S
+lies in the extended ideal I*O, and the ordering refines the negative
+degree, so every term of a g in S other than its leading one has higher
+degree, or the same degree and a smaller monomial.  Hence for a degree-D
+monomial m with LM(g) | m, the element (m/LM(g))*g/LC(g) of I*O is m
+plus smaller degree-D monomials plus terms in m^(D+1).  Descending
+induction over the degree-D monomials, from the smallest up, gives
+m^D in I*O + m^(D+1), and Nakayama's lemma gives m^D in I*O.
+
+From then on the completion works modulo m^D, which changes nothing in
+O/I*O: it runs on S together with the implicit monomial generators of
+degree D.  Dropping a term of degree >= D from an S-polynomial, a Mora
+intermediate or a stored basis element is a reduction of that term by the
+degree-D monomial dividing it; an element whose leading monomial has
+degree >= D is replaced by that monomial.  An S-pair whose lcm has degree
+>= D is skipped: every term of g has degree >= deg LM(g), so every term
+of (lcm/LM(g))*g, and of the S-polynomial, has degree >= deg(lcm) >= D,
+and the S-polynomial reduces to zero by the monomial generators alone.
+Pairs with a monomial generator vanish for the same reason.  D only falls
+as the leading ideal grows, so it is recomputed only when a new leading
+monomial of degree < D appears.  The completed basis keeps D as its
+`corner`, and normal forms against it truncate in the same way.  The
+corner is None under the global ordering, where nothing is truncated, and
+when some variable has no pure power (the quotient is not Artinian at the
+origin, or not yet known to be).
+
 The coprimality criterion is applied only under the global ordering.  Its
 classical proof breaks for non-well-orderings (a tail monomial may be a
 multiple of the leading one), pair queues at this problem scale are tiny,
@@ -63,13 +93,19 @@ class _Budget:
 
 class StandardBasis:
     """A completed basis: minimal (pairwise non-divisible leading terms),
-    monic, sorted with the largest leading monomial first."""
+    monic, sorted with the largest leading monomial first.
 
-    __slots__ = ("gens", "ring")
+    corner is the highest-corner degree D of a local basis (m^D lies in
+    the ideal and no element has a term of degree > D), or None.
+    """
 
-    def __init__(self, gens: Tuple[Polynomial, ...], ring: Ring):
+    __slots__ = ("gens", "ring", "corner")
+
+    def __init__(self, gens: Tuple[Polynomial, ...], ring: Ring,
+                 corner: Optional[int] = None):
         self.gens = gens
         self.ring = ring
+        self.corner = corner
 
     @property
     def ordering(self) -> OrderingTag:
@@ -88,21 +124,45 @@ class StandardBasis:
         return f"StandardBasis({[str(g) for g in self.gens]}, {self.ring!r})"
 
 
-def spoly(f: Polynomial, g: Polynomial) -> Polynomial:
-    """S-polynomial: cancel the leading terms of f and g against their lcm."""
+def _truncate(f: Polynomial, bound: Optional[int]) -> Polynomial:
+    """f without its terms of degree >= bound; f itself when bound is None.
+
+    Only for the local ordering, whose terms run by increasing degree, so
+    that the dropped terms form a suffix of the term tuple.
+    """
+    if bound is None:
+        return f
+    terms = f.terms
+    k = len(terms)
+    while k and mono_deg(terms[k - 1][0]) >= bound:
+        k -= 1
+    return f if k == len(terms) else Polynomial(f.ring, terms[:k])
+
+
+def _below(corner: Optional[int], m: Mono) -> Optional[int]:
+    """The truncation bound for a factor that gets multiplied by m."""
+    return None if corner is None else corner - mono_deg(m)
+
+
+def spoly(f: Polynomial, g: Polynomial, corner: Optional[int] = None) -> Polynomial:
+    """S-polynomial: cancel the leading terms of f and g against their lcm.
+    Terms of degree >= corner are left out (see the module docstring)."""
     p = f.ring.p
     lmf, lmg = f.lm(), g.lm()
     lcm = mono_lcm(lmf, lmg)
-    a = f.term_mul(inv_mod(f.lc(), p), mono_quot(lcm, lmf))
-    b = g.term_mul(inv_mod(g.lc(), p), mono_quot(lcm, lmg))
+    qf, qg = mono_quot(lcm, lmf), mono_quot(lcm, lmg)
+    a = _truncate(f, _below(corner, qf)).term_mul(inv_mod(f.lc(), p), qf)
+    b = _truncate(g, _below(corner, qg)).term_mul(inv_mod(g.lc(), p), qg)
     return a - b
 
 
-def _reduce_step(h: Polynomial, g: Polynomial) -> Polynomial:
-    """Cancel the leading term of h against g (LM(g) must divide LM(h))."""
+def _reduce_step(h: Polynomial, g: Polynomial, corner: Optional[int] = None) -> Polynomial:
+    """Cancel the leading term of h against g (LM(g) must divide LM(h)),
+    leaving out the terms of g's multiple of degree >= corner."""
     p = h.ring.p
     c = (h.lc() * inv_mod(g.lc(), p)) % p
-    return h - g.term_mul(c, mono_quot(h.lm(), g.lm()))
+    mult = mono_quot(h.lm(), g.lm())
+    return h - _truncate(g, _below(corner, mult)).term_mul(c, mult)
 
 
 def _global_nf(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget) -> Polynomial:
@@ -123,11 +183,13 @@ def _global_nf(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget) -> Po
     return Polynomial(f.ring, tuple(remainder_terms))
 
 
-def _mora_nf(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget) -> Polynomial:
+def _mora_nf(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
+             corner: Optional[int] = None) -> Polynomial:
     """Mora weak normal form with ecart-minimizing reducer selection and
-    stable tie-breaking by reducer index."""
+    stable tie-breaking by reducer index.  With a corner D, every
+    intermediate (and so the result) is kept free of terms of degree >= D."""
     reducers: List[Tuple[Polynomial, int]] = [(g, g.ecart()) for g in gens]
-    h = f
+    h = _truncate(f, corner)
     while not h.is_zero:
         lm = h.lm()
         best = None
@@ -141,7 +203,7 @@ def _mora_nf(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget) -> Poly
         if ec > h.ecart():
             reducers.append((h, h.ecart()))
         budget.step(h, reducers[idx][0])
-        h = _reduce_step(h, reducers[idx][0])
+        h = _reduce_step(h, reducers[idx][0], corner)
     return h
 
 
@@ -196,17 +258,17 @@ def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynom
     """Normal form of f modulo a (completed) basis.
 
     Global ordering: the fully reduced remainder.  Local ordering: the Mora
-    weak normal form; zero exactly when f lies in the ideal inside the
-    localization at the origin.
+    weak normal form, without terms of degree >= basis.corner; zero exactly
+    when f lies in the ideal inside the localization at the origin.
     """
     gens = tuple(basis)
     if gens:
         for g in gens:
             f._check_ring(g)
-    budget = _Budget(step_cap or DEFAULT_STEP_CAP)
+    budget = _Budget(DEFAULT_STEP_CAP if step_cap is None else step_cap)
     if f.ring.ordering == OrderingTag.GLOBAL_DEGREVLEX:
         return _global_nf(f, gens, budget)
-    return _mora_nf(f, gens, budget)
+    return _mora_nf(f, gens, budget, getattr(basis, "corner", None))
 
 
 def _prepare(gens: Sequence[Polynomial]) -> List[Polynomial]:
@@ -225,12 +287,75 @@ def _prepare(gens: Sequence[Polynomial]) -> List[Polynomial]:
     return out
 
 
+def _staircase(lms: Sequence[Mono]) -> Optional[Tuple[int, int]]:
+    """(number, largest degree) of the monomials outside the ideal that lms
+    generate; largest degree -1 for the unit ideal.  None when some variable
+    has no pure power among lms, so that infinitely many lie outside.
+
+    Those monomials lie in the box below the pure powers.  With the
+    variables ordered by increasing pure power, the sweep loops over the
+    box in all but the last two exponents and sweeps the next-to-last one;
+    the admissible last exponents are those below the running minimum of
+    the last exponent over the generators that divide the current prefix.
+    """
+    if not lms:
+        return None
+    n = len(lms[0])
+    powers = [None] * n
+    for m in lms:
+        d = mono_deg(m)
+        if d == 0:
+            return 0, -1
+        for i, e in enumerate(m):
+            if e == d and (powers[i] is None or e < powers[i]):
+                powers[i] = e
+    if None in powers:
+        return None
+    if n == 1:
+        return powers[0], powers[0] - 1
+    order = sorted(range(n), key=powers.__getitem__)
+    box = [powers[i] for i in order]
+    gens = [tuple(m[i] for i in order) for m in lms]
+    count, top = 0, -1
+    for prefix in itertools.product(*(range(b) for b in box[:n - 2])):
+        live = sorted((g for g in gens if all(e <= x for e, x in zip(g, prefix))),
+                      key=lambda g: g[n - 2])
+        base = sum(prefix)
+        runmin, k = box[n - 1], 0
+        for e in range(box[n - 2]):
+            while k < len(live) and live[k][n - 2] <= e:
+                runmin = min(runmin, live[k][n - 1])
+                k += 1
+            if runmin == 0:
+                break
+            count += runmin
+            top = max(top, base + e + runmin - 1)
+    return count, top
+
+
+def _corner_degree(lms: Sequence[Mono]) -> Optional[int]:
+    """The least D such that every monomial of degree D is divisible by one
+    of lms; None when some variable has no pure power among lms."""
+    stair = _staircase(lms)
+    return None if stair is None else stair[1] + 1
+
+
+def _cut_at(g: Polynomial, corner: int) -> Polynomial:
+    """A basis element modulo m^corner: its terms of lower degree, or its
+    leading monomial alone when that has degree >= corner."""
+    if mono_deg(g.lm()) >= corner:
+        return g.ring.poly({g.lm(): 1})
+    return _truncate(g, corner)
+
+
 def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -> StandardBasis:
     """Complete generators to a Groebner basis (global) or standard basis
     (local) of the ideal they generate.
 
     Pair selection is the normal strategy: minimal lcm degree first, ties
     broken by the lcm monomial and the pair indices for reproducibility.
+    Under the local ordering the completion truncates at the highest
+    corner as soon as the leading monomials reveal it (module docstring).
     """
     gens = list(gens)
     if not gens:
@@ -238,40 +363,56 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     ring = gens[0].ring
     for g in gens[1:]:
         gens[0]._check_ring(g)
-    budget = _Budget(step_cap or DEFAULT_STEP_CAP)
+    budget = _Budget(DEFAULT_STEP_CAP if step_cap is None else step_cap)
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
-    nf = _global_nf if is_global else _mora_nf
 
     basis = _prepare(gens)
     if not basis:
         return StandardBasis((), ring)
 
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    corner = None if is_global else _corner_degree([g.lm() for g in basis])
+    if corner is not None:
+        basis[:] = [_cut_at(g, corner) for g in basis]
+
+    def lcm_of(i, j):
+        return mono_lcm(basis[i].lm(), basis[j].lm())
+
+    def wanted(i, j):
+        return corner is None or mono_deg(lcm_of(i, j)) < corner
 
     def pair_rank(pair):
         i, j = pair
-        lcm = mono_lcm(basis[i].lm(), basis[j].lm())
+        lcm = lcm_of(i, j)
         return (mono_deg(lcm), ring.key(lcm), j, i)
+
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j) if wanted(i, j)}
 
     while pairs:
         budget.spend()
         i, j = min(pairs, key=pair_rank)
         pairs.remove((i, j))
-        lmi, lmj = basis[i].lm(), basis[j].lm()
-        lcm = mono_lcm(lmi, lmj)
-        if is_global and lcm == mono_mul(lmi, lmj):
+        if is_global and lcm_of(i, j) == mono_mul(basis[i].lm(), basis[j].lm()):
             continue  # coprime leading monomials: S-pair reduces to zero
-        h = nf(spoly(basis[i], basis[j]), basis, budget)
-        if not h.is_zero:
-            basis.append(h.monic())
-            k = len(basis) - 1
-            pairs.update((i2, k) for i2 in range(k))
+        s = spoly(basis[i], basis[j], corner)
+        h = _global_nf(s, basis, budget) if is_global else _mora_nf(s, basis, budget, corner)
+        if h.is_zero:
+            continue
+        basis.append(h.monic())
+        if not is_global:
+            # h is truncated, so its leading monomial has degree < corner
+            lowered = _corner_degree([g.lm() for g in basis])
+            if lowered is not None and (corner is None or lowered < corner):
+                corner = lowered
+                basis[:] = [_cut_at(g, corner) for g in basis]
+                pairs = {pair for pair in pairs if wanted(*pair)}
+        k = len(basis) - 1
+        pairs.update((i2, k) for i2 in range(k) if wanted(i2, k))
 
-    return _minimalize(basis, ring, budget, is_global)
+    return _minimalize(basis, ring, budget, is_global, corner)
 
 
 def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
-                is_global: bool) -> StandardBasis:
+                is_global: bool, corner: Optional[int]) -> StandardBasis:
     # Drop elements whose leading monomial is divisible by another's; the
     # remaining leading terms still generate the leading ideal.
     order = sorted(range(len(basis)), key=lambda i: (mono_deg(basis[i].lm()), ring.key(basis[i].lm())))
@@ -292,7 +433,7 @@ def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
                     kept[i] = r
                     changed = True
     kept.sort(key=lambda g: ring.key(g.lm()), reverse=True)
-    return StandardBasis(tuple(kept), ring)
+    return StandardBasis(tuple(kept), ring, corner)
 
 
 def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None) -> bool:
@@ -340,33 +481,5 @@ def standard_monomial_count(basis: StandardBasis):
     For a dimension-zero local standard basis this is the length of the
     Artinian quotient of the localization at the origin.
     """
-    n = basis.ring.nvars
-    lms = leading_ideal(basis)
-    unit = (0,) * n
-    if unit in lms:
-        return 0
-    if not is_dimension_zero(basis):
-        return INFINITE
-    bounds = tuple(min(m[i] for m in lms if m[i] > 0 and sum(m) == m[i])
-                   for i in range(n))
-    # Inclusion-exclusion over the minimal generators inside the bounding
-    # box: a subset contributes (-1)^|S| * prod(b_i - lcm(S)_i).  Subsets
-    # whose lcm leaves the box contribute zero, as do all their supersets,
-    # which keeps the search tree small for the antichain of generators.
-    total = 0
-
-    def walk(idx: int, lcm: Mono, sign: int):
-        nonlocal total
-        if idx == len(lms):
-            prod = 1
-            for l, b in zip(lcm, bounds):
-                prod *= b - l
-            total += sign * prod
-            return
-        walk(idx + 1, lcm, sign)
-        merged = tuple(max(l, g) for l, g in zip(lcm, lms[idx]))
-        if all(l < b for l, b in zip(merged, bounds)):
-            walk(idx + 1, merged, -sign)
-
-    walk(0, unit, 1)
-    return total
+    stair = _staircase(basis.leading_monomials())
+    return INFINITE if stair is None else stair[0]

@@ -6,12 +6,17 @@ Grammar (whitespace ignored everywhere):
     term   := factor ('*' factor)*
     factor := integer
             | variable ('^' positive-integer)?
-            | '(' expr ')'
+            | '(' expr ')' ('^' positive-integer)?
 
 Integer literals of any size are accepted and reduced mod p, so equations
 written over the integers can be pasted directly.  Juxtaposition is NOT
 multiplication: 'xy' is an error unless 'xy' is a declared variable name.
 This is the wire format used by the CLI and the catalog file.
+
+Two bounds keep hostile input from exhausting the interpreter: groups
+nest at most MAX_DEPTH deep, and all products and powers of one parse
+together multiply at most MAX_PRODUCT_WORK pairs of terms.  Either
+overflow is a ParseError.
 """
 
 from __future__ import annotations
@@ -19,7 +24,12 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .errors import UsageError
-from .poly import Mono, Polynomial, Ring, _from_dict, mono_mul
+from .poly import MAX_EXPONENT, Mono, Polynomial, Ring, _from_dict, mono_mul
+
+#: Deepest accepted nesting of parenthesised groups.
+MAX_DEPTH = 100
+#: Term pairs that the products and powers of one parse may multiply.
+MAX_PRODUCT_WORK = 2 * 10 ** 5
 
 
 class ParseError(UsageError):
@@ -37,6 +47,8 @@ class _Parser:
         self.ring = ring
         self.n = len(src)
         self.pos = 0
+        self.depth = 0
+        self.work = 0
 
     def _skip_ws(self):
         while self.pos < self.n and self.src[self.pos].isspace():
@@ -51,14 +63,25 @@ class _Parser:
             raise ParseError(self.pos, f"expected {ch!r}")
         self.pos += 1
 
-    def _integer(self) -> int:
+    def _digits(self) -> str:
         self._skip_ws()
         start = self.pos
         while self.pos < self.n and self.src[self.pos].isdigit():
             self.pos += 1
         if self.pos == start:
             raise ParseError(start, "expected an integer")
-        return int(self.src[start:self.pos])
+        return self.src[start:self.pos]
+
+    def _integer(self) -> int:
+        """An integer literal reduced mod p, read in chunks because int()
+        refuses strings of more than a few thousand digits."""
+        digits = self._digits()
+        p = self.ring.p
+        value = 0
+        for k in range(0, len(digits), 1000):
+            chunk = digits[k:k + 1000]
+            value = (value * pow(10, len(chunk), p) + int(chunk)) % p
+        return value
 
     def _identifier(self) -> Tuple[int, str]:
         self._skip_ws()
@@ -82,17 +105,52 @@ class _Parser:
             for m, c in rhs.items():
                 acc[m] = acc.get(m, 0) + sign * c
 
+    def _product(self, a: Dict[Mono, int], b: Dict[Mono, int], at: int) -> Dict[Mono, int]:
+        self.work += len(a) * len(b)
+        if self.work > MAX_PRODUCT_WORK:
+            raise ParseError(at, f"expansion too large: products exceed {MAX_PRODUCT_WORK} term pairs")
+        p = self.ring.p
+        prod: Dict[Mono, int] = {}
+        for ma, ca in a.items():
+            for mb, cb in b.items():
+                m = mono_mul(ma, mb)
+                prod[m] = (prod.get(m, 0) + ca * cb) % p
+        return prod
+
     def term(self) -> Dict[Mono, int]:
         acc = self.factor()
         while self._peek() == "*":
+            at = self.pos
             self.pos += 1
-            rhs = self.factor()
-            prod: Dict[Mono, int] = {}
-            for ma, ca in acc.items():
-                for mb, cb in rhs.items():
-                    m = mono_mul(ma, mb)
-                    prod[m] = prod.get(m, 0) + ca * cb
-            acc = prod
+            acc = self._product(acc, self.factor(), at)
+        return acc
+
+    def _exponent(self) -> Tuple[int, int]:
+        """The optional '^' positive-integer after a factor: (position, e)."""
+        if self._peek() != "^":
+            return self.pos, 1
+        self.pos += 1
+        epos = self.pos
+        self._skip_ws()
+        if self.pos >= self.n or not self.src[self.pos].isdigit():
+            raise ParseError(epos, "malformed exponent: expected a positive integer")
+        digits = self._digits()
+        if len(digits) > 9:
+            raise ParseError(epos, f"exponent overflow: {len(digits)}-digit exponent")
+        e = int(digits)
+        if e < 1:
+            raise ParseError(epos, "malformed exponent: must be >= 1")
+        return epos, e
+
+    def _power(self, base: Dict[Mono, int], e: int, at: int) -> Dict[Mono, int]:
+        top = max((max(m) for m, c in base.items() if c), default=0)
+        if top == 0:  # a constant
+            return {m: pow(c, e, self.ring.p) for m, c in base.items()}
+        if top * e >= MAX_EXPONENT:
+            raise ParseError(at, f"exponent overflow: {top * e} >= {MAX_EXPONENT}")
+        acc = base
+        for _ in range(e - 1):
+            acc = self._product(acc, base, at)
         return acc
 
     def factor(self) -> Dict[Mono, int]:
@@ -103,12 +161,17 @@ class _Parser:
         if ch.isdigit():
             return {unit: self._integer()}
         if ch == "(":
+            if self.depth == MAX_DEPTH:
+                raise ParseError(self.pos, f"parentheses nested deeper than {MAX_DEPTH}")
+            self.depth += 1
             self.pos += 1
             inner = self.expr()
             if self._peek() != ")":
                 raise ParseError(self.pos, "unbalanced parentheses: expected ')'")
             self.pos += 1
-            return inner
+            self.depth -= 1
+            epos, e = self._exponent()
+            return inner if e == 1 else self._power(inner, e, epos)
         if ch.isalpha() or ch == "_":
             start, name = self._identifier()
             try:
@@ -118,16 +181,7 @@ class _Parser:
                 if len(name) > 1 and all(c in self.ring.names for c in name):
                     hint = " (juxtaposition is not multiplication; write explicit '*')"
                 raise ParseError(start, f"unknown variable {name!r}{hint}") from None
-            e = 1
-            if self._peek() == "^":
-                self.pos += 1
-                epos = self.pos
-                self._skip_ws()
-                if self.pos >= self.n or not self.src[self.pos].isdigit():
-                    raise ParseError(epos, "malformed exponent: expected a positive integer")
-                e = self._integer()
-                if e < 1:
-                    raise ParseError(epos, "malformed exponent: must be >= 1")
+            _, e = self._exponent()
             exps = [0] * self.ring.nvars
             exps[idx] = e
             return {tuple(exps): 1}

@@ -137,3 +137,32 @@ def test_text_output_mentions_note_for_e6_0(capsys):
     assert code == 0
     assert "E_6^0" in out
     assert "discrepancy" in out or "note" in out.lower()
+
+
+def test_group_power_is_accepted(capsys):
+    code, payload, _ = run_json(capsys, "analyze", "--char", "2", "--poly", "(x+y)^2+z^3")
+    _, expanded, _ = run_json(capsys, "analyze", "--char", "2", "--poly", "(x+y)*(x+y)+z^3")
+    assert code != 2
+    assert payload == expanded
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    code, out, err = run(capsys, "analyze", "--char", "2",
+                         "--poly", "(" * 3000 + "x" + ")" * 3000, "--json")
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    note = json.loads(lines[0])
+    assert note["error"] == "parse error"
+    assert "nested" in note["message"]
+
+
+def test_nonpositive_step_cap_is_a_usage_error(capsys):
+    for cap in ("0", "-1"):
+        code, out, err = run(capsys, "analyze", "--char", "2",
+                             "--poly", "z^2+x^3+y^5+y^3*z", "--step-cap", cap, "--json")
+        assert code == 2, cap
+        assert out == "", cap
+        note = json.loads(err.splitlines()[0])
+        assert note["error"] == "usage error" and "--step-cap" in note["message"], cap

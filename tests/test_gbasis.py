@@ -254,3 +254,8 @@ def test_step_cap_raises_engine_limit():
     gens = [parse_poly("x^2+y^3", r), parse_poly("x*y^2+x^2*z", r), parse_poly("z^2", r)]
     with pytest.raises(EngineLimitError):
         complete_basis(gens, step_cap=3)
+    # a cap of 0 is a cap, not a request for the default
+    with pytest.raises(EngineLimitError):
+        complete_basis(gens, step_cap=0)
+    with pytest.raises(EngineLimitError):
+        normal_form(parse_poly("x^2", r), complete_basis(gens), step_cap=0)

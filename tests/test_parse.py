@@ -3,6 +3,7 @@ import random
 import pytest
 
 from rdpdescent import OrderingTag, ParseError, Ring, parse_poly, render
+from rdpdescent.parse import MAX_DEPTH
 
 
 def ring(p=2, names=("x", "y", "z"), ordering=OrderingTag.LOCAL_NEG_DEGREVLEX):
@@ -41,6 +42,52 @@ def test_parentheses_and_precedence():
     assert parse_poly("(x+y)*(x+y)", r) == parse_poly("x^2+2*x*y+y^2", r)
     assert parse_poly("x+y*z", r) == parse_poly("x+(y*z)", r)
     assert parse_poly("x-(y-z)", r) == parse_poly("x-y+z", r)
+
+
+def test_power_of_a_group():
+    r = ring(p=3)
+    assert parse_poly("(x+y)^2+z^3", r) == parse_poly("(x+y)*(x+y)+z^3", r)
+    assert parse_poly("(x + 2*y) ^ 3 * z", r) == parse_poly("(x+2*y)*(x+2*y)*(x+2*y)*z", r)
+    assert parse_poly("(2)^5*x", r) == parse_poly("32*x", r)
+    assert parse_poly("((x)^2)^3", r) == parse_poly("x^6", r)
+
+
+def test_malformed_group_exponent_positions():
+    for src, position in (("(x+y)^", 6), ("(x+y)^0", 6), ("(x+y)^-2", 6),
+                          ("(x+y) ^ y", 7), ("x^-2", 2), ("x^", 2)):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(src, ring())
+        assert exc.value.position == position, src
+        assert "malformed exponent" in exc.value.message, src
+
+
+def test_nesting_depth_is_bounded():
+    deep = "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH
+    assert parse_poly(deep, ring()) == parse_poly("x", ring())
+    for depth in (MAX_DEPTH + 1, 3000):
+        with pytest.raises(ParseError) as exc:
+            parse_poly("(" * depth + "x" + ")" * depth, ring())
+        assert exc.value.position == MAX_DEPTH
+        assert "nested" in exc.value.message
+
+
+def test_expansion_is_bounded():
+    r = ring(p=5)
+    assert len(parse_poly("(x+y+z)^40", r).terms) > 0
+    with pytest.raises(ParseError) as exc:
+        parse_poly("(x+y+z+1)^20000", r)
+    assert "expansion too large" in exc.value.message
+    with pytest.raises(ParseError) as exc:
+        parse_poly("(x+y)^70000", r)
+    assert "exponent overflow" in exc.value.message
+
+
+def test_integer_literals_longer_than_int_accepts():
+    r = ring(p=3)
+    # 5002 ones: the digit sum 5002 is 1 mod 3
+    assert parse_poly("1" * 5002 + "*x", r) == parse_poly("x", r)
+    with pytest.raises(ParseError):
+        parse_poly("x^" + "9" * 5000, r)
 
 
 def test_juxtaposition_is_an_error():
