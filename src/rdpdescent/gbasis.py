@@ -38,8 +38,11 @@ of (lcm/LM(g))*g, and of the S-polynomial, has degree >= deg(lcm) >= D,
 and the S-polynomial reduces to zero by the monomial generators alone.
 Pairs with a monomial generator vanish for the same reason.  D only falls
 as the leading ideal grows, so it is recomputed only when a new leading
-monomial of degree < D appears.  The completed basis keeps D as its
-`corner`, and normal forms against it truncate in the same way.  The
+monomial of degree < D appears.  A `StandardBasis` reads its `corner`
+off its own leading monomials (for a completed basis, the last D of the
+completion), and normal forms against it truncate in the same way.  The
+argument needs only S inside the ideal, not S standard, so the S-pair
+self-check truncates at the corner it reads off the basis itself.  The
 corner is None under the global ordering, where nothing is truncated, and
 when some variable has no pure power (the quotient is not Artinian at the
 origin, or not yet known to be).
@@ -95,17 +98,23 @@ class StandardBasis:
     """A completed basis: minimal (pairwise non-divisible leading terms),
     monic, sorted with the largest leading monomial first.
 
-    corner is the highest-corner degree D of a local basis (m^D lies in
-    the ideal and no element has a term of degree > D), or None.
+    corner is the highest-corner degree D of a local basis, read off its
+    own leading monomials: every monomial of degree D is a multiple of
+    one, so m^D lies in the ideal (module docstring).  It is None under
+    the global ordering and when some variable has no pure power.
     """
 
-    __slots__ = ("gens", "ring", "corner")
+    __slots__ = ("gens", "ring", "_corner")
 
-    def __init__(self, gens: Tuple[Polynomial, ...], ring: Ring,
-                 corner: Optional[int] = None):
+    def __init__(self, gens: Tuple[Polynomial, ...], ring: Ring):
         self.gens = gens
         self.ring = ring
-        self.corner = corner
+        self._corner = (None if ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
+                        else _corner_degree([g.lm() for g in gens]))
+
+    @property
+    def corner(self) -> Optional[int]:
+        return self._corner
 
     @property
     def ordering(self) -> OrderingTag:
@@ -261,14 +270,17 @@ def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynom
     weak normal form, without terms of degree >= basis.corner; zero exactly
     when f lies in the ideal inside the localization at the origin.
     """
-    gens = tuple(basis)
-    if gens:
-        for g in gens:
-            f._check_ring(g)
+    return _normal_form(f, tuple(basis), getattr(basis, "corner", None), step_cap)
+
+
+def _normal_form(f: Polynomial, gens: Tuple[Polynomial, ...], corner: Optional[int],
+                 step_cap: Optional[int]) -> Polynomial:
+    for g in gens:
+        f._check_ring(g)
     budget = _Budget(DEFAULT_STEP_CAP if step_cap is None else step_cap)
     if f.ring.ordering == OrderingTag.GLOBAL_DEGREVLEX:
         return _global_nf(f, gens, budget)
-    return _mora_nf(f, gens, budget, getattr(basis, "corner", None))
+    return _mora_nf(f, gens, budget, corner)
 
 
 def _prepare(gens: Sequence[Polynomial]) -> List[Polynomial]:
@@ -408,11 +420,11 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
         k = len(basis) - 1
         pairs.update((i2, k) for i2 in range(k) if wanted(i2, k))
 
-    return _minimalize(basis, ring, budget, is_global, corner)
+    return _minimalize(basis, ring, budget, is_global)
 
 
 def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
-                is_global: bool, corner: Optional[int]) -> StandardBasis:
+                is_global: bool) -> StandardBasis:
     # Drop elements whose leading monomial is divisible by another's; the
     # remaining leading terms still generate the leading ideal.
     order = sorted(range(len(basis)), key=lambda i: (mono_deg(basis[i].lm()), ring.key(basis[i].lm())))
@@ -433,15 +445,26 @@ def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
                     kept[i] = r
                     changed = True
     kept.sort(key=lambda g: ring.key(g.lm()), reverse=True)
-    return StandardBasis(tuple(kept), ring, corner)
+    # The leading ideal is that of the completion, so StandardBasis reads
+    # the same corner off it.
+    return StandardBasis(tuple(kept), ring)
 
 
 def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None) -> bool:
     """Buchberger's criterion as a self-check: every S-pair of the completed
-    basis has normal form zero.  No skipping criteria are applied."""
+    basis has normal form zero.  No skipping criteria are applied.
+
+    Local normal forms truncate at the corner of the basis's own leading
+    monomials, recomputed here and not taken from basis.corner.  That is
+    sound for any subset of the ideal (module docstring): zero normal forms
+    then make the gens together with the degree-D monomials a standard
+    basis, and those monomials add nothing to the leading ideal.
+    """
     gens = basis.gens
+    corner = (None if basis.ordering == OrderingTag.GLOBAL_DEGREVLEX
+              else _corner_degree(basis.leading_monomials()))
     for i, j in itertools.combinations(range(len(gens)), 2):
-        if not normal_form(spoly(gens[i], gens[j]), basis, step_cap).is_zero:
+        if not _normal_form(spoly(gens[i], gens[j]), gens, corner, step_cap).is_zero:
             return False
     return True
 

@@ -1,70 +1,19 @@
-"""Highest-corner truncation of local standard bases: the corner degree
-against a brute-force scan, and truncated bases checked against the
-S-pair criterion and the independent truncation oracle."""
-
-import itertools
+"""Highest-corner truncation of local standard bases: corner examples,
+and truncated bases checked against the S-pair criterion and the
+independent truncation oracle.  The property test against a brute-force
+scan is in test_corner_property.py, which needs hypothesis."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rdpdescent import (OrderingTag, Ring, StandardBasis, complete_basis,
                         normal_form, parse_poly, s_pairs_reduce_to_zero,
                         standard_monomial_count, truncation_length_oracle)
 from rdpdescent.catalog import table_records
-from rdpdescent.gbasis import _corner_degree
+from rdpdescent.gbasis import _corner_degree, spoly
 from rdpdescent.ideals import (HypersurfaceGerm, bracket_ideal, jacobian_ideal,
                                local_length)
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
-
-
-def degree_monomials(n, d):
-    for combo in itertools.combinations_with_replacement(range(n), d):
-        yield tuple(combo.count(i) for i in range(n))
-
-
-def covered(lms, m):
-    return any(all(a <= b for a, b in zip(g, m)) for g in lms)
-
-
-def brute_corner(lms):
-    """Scan the degrees upward for one whose monomials are all covered.
-    With every pure power present, D is at most one more than the sum of
-    the exponent maxima; without, no degree is covered."""
-    n = len(lms[0])
-    bound = sum(max(m[i] for m in lms) for i in range(n)) + 1
-    for d in range(bound + 1):
-        if all(covered(lms, m) for m in degree_monomials(n, d)):
-            return d
-    return None
-
-
-@st.composite
-def monomial_sets(draw):
-    n = draw(st.integers(1, 4))
-    top = 5 if n <= 3 else 4
-    lms = draw(st.lists(st.tuples(*[st.integers(0, top)] * n), min_size=1, max_size=8))
-    for i in range(n):
-        # 0 leaves the variable without an extra pure power
-        e = draw(st.integers(0, top))
-        if e:
-            lms.append(tuple(e if j == i else 0 for j in range(n)))
-    return lms
-
-
-@settings(max_examples=300, deadline=None)
-@given(monomial_sets())
-def test_corner_degree_matches_brute_force(lms):
-    corner = _corner_degree(lms)
-    assert corner == brute_corner(lms)
-    if corner is not None:
-        # the same sweep counts the monomials outside the ideal
-        n = len(lms[0])
-        outside = sum(not covered(lms, m) for d in range(corner) for m in degree_monomials(n, d))
-        ring = Ring(2, tuple("xyzw"[:n]), LOCAL)
-        basis = StandardBasis(tuple(ring.poly({m: 1}) for m in lms), ring)
-        assert standard_monomial_count(basis) == outside
 
 
 def test_corner_degree_examples():
@@ -132,3 +81,22 @@ def test_corner_keeps_membership_exact():
     assert basis.corner == 5
     for src, member in (("x^5", True), ("x^2*y", True), ("x^3", False), ("x*y^3", False)):
         assert normal_form(parse_poly(src, ring), basis).is_zero is member, src
+
+
+def test_s_pair_check_reads_the_corner_off_the_basis():
+    # (x^2+y^3, x*y, y^5) is not a standard basis: the S-pair of the first
+    # two is y^4, outside the leading ideal (x^2, x*y, y^5), whose corner
+    # is 5.  A stored corner of 3 would truncate y^4 away.
+    ring = Ring(3, ("x", "y"), LOCAL)
+    gens = tuple(parse_poly(s, ring) for s in ("x^2+y^3", "x*y", "y^5"))
+    assert StandardBasis(gens, ring).corner == 5
+    assert not s_pairs_reduce_to_zero(StandardBasis(gens, ring))
+
+    class Understated(StandardBasis):
+        corner = 3
+
+    understated = Understated(gens, ring)
+    assert normal_form(spoly(gens[0], gens[1]), understated).is_zero
+    assert not s_pairs_reduce_to_zero(understated)
+    # once completed, the basis passes at the corner it reads off itself
+    assert s_pairs_reduce_to_zero(complete_basis(gens))
