@@ -10,7 +10,10 @@ to a standard basis under the local ordering and the standard monomials
 are counted.
 
 The truncation oracle is pure linear algebra over F_p and shares no code
-with the Groebner engine.  For increasing D it computes
+with the Groebner engine.  Its rows are shifts m*g_i of the generators,
+with a handful of terms each, so they are kept sparse (a dict from column
+to coefficient) and eliminated lowest column first.  For increasing D it
+computes
 
     lambda_D = dim_F  R / (I + m^D)
 
@@ -26,15 +29,15 @@ every variable is visible inside the row space before it reports a value.
 from __future__ import annotations
 
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .errors import UsageError
 from .field import inv_mod
 from .gbasis import (INFINITE, StandardBasis, complete_basis, normal_form,
                      standard_monomial_count)
-from .poly import Mono, OrderingTag, Polynomial, Ring, mono_deg, mono_mul
+from .poly import Mono, OrderingTag, Polynomial, Ring, mono_deg
 
 
 class _Unstable:
@@ -53,7 +56,8 @@ UNSTABLE = _Unstable()
 
 DEFAULT_DEGREE_CAP = 64
 
-# Memory guard for the oracle: never materialize more columns than this.
+# Work bound for the oracle: a working degree whose monomials below it
+# number more than this is not attempted, and the oracle reports UNSTABLE.
 _MAX_COLUMNS = 13000
 
 
@@ -202,40 +206,63 @@ def _monomials_by_degree(n: int, maxdeg: int) -> List[List[Mono]]:
 
 class _Echelon:
     """Row echelon form over F_p with monomial columns sorted by degree.
-    Pivot = first nonzero column of a row = its lowest-degree monomial."""
 
-    def __init__(self, ncols: int, p: int):
+    A row is sparse: a dict from column to coefficient in [1, p), with no
+    zero entries.  Pivot = lowest nonzero column of a row = its
+    lowest-degree monomial.  Pivot rows are stored monic and vanish left of
+    their pivot; they are not reduced right of it."""
+
+    def __init__(self, p: int):
         self.p = p
-        self.ncols = ncols
-        self.pivot_rows: Dict[int, np.ndarray] = {}
+        self.pivot_rows: Dict[int, Dict[int, int]] = {}
 
-    def _sweep(self, vec: np.ndarray) -> Optional[int]:
-        """Reduce vec in place against the pivots; return its pivot column
-        or None if it reduces to zero."""
+    def _sweep(self, row: Dict[int, int]) -> Optional[int]:
+        """Reduce row in place against the pivots, lowest column first;
+        return its pivot column or None if it reduces to zero."""
         p = self.p
-        start = 0
-        while True:
-            nz = np.nonzero(vec[start:])[0]
-            if len(nz) == 0:
-                return None
-            col = start + int(nz[0])
-            row = self.pivot_rows.get(col)
-            if row is None:
+        pivot_rows = self.pivot_rows
+        # Candidate columns, lowest first; an entry whose column has since
+        # cancelled is skipped.  Pivot rows vanish left of their pivot, so
+        # eliminating column c touches only columns >= c and a popped
+        # column never comes back.
+        heap = list(row)
+        heapify(heap)
+        while heap:
+            col = heappop(heap)
+            c = row.get(col)
+            if c is None:
+                continue
+            prow = pivot_rows.get(col)
+            if prow is None:
                 return col
-            vec -= int(vec[col]) * row
-            vec %= p
-            start = col  # pivot rows vanish left of their pivot
+            for j, a in prow.items():
+                v = row.get(j)
+                if v is None:
+                    row[j] = (-c * a) % p
+                    heappush(heap, j)
+                else:
+                    v = (v - c * a) % p
+                    if v:
+                        row[j] = v
+                    else:
+                        del row[j]
+        return None
 
-    def insert(self, vec: np.ndarray) -> Optional[int]:
-        col = self._sweep(vec)
+    def insert(self, row: Dict[int, int]) -> Optional[int]:
+        """Add a row (consumed) to the echelon form; return its new pivot
+        column, or None if it was already in the row space."""
+        col = self._sweep(row)
         if col is None:
             return None
-        vec = (vec * inv_mod(int(vec[col]), self.p)) % self.p
-        self.pivot_rows[col] = vec
+        p = self.p
+        inv = inv_mod(row[col], p)
+        if inv != 1:
+            row = {j: (v * inv) % p for j, v in row.items()}
+        self.pivot_rows[col] = row
         return col
 
-    def member(self, vec: np.ndarray) -> bool:
-        return self._sweep(vec.copy()) is None
+    def member(self, row: Dict[int, int]) -> bool:
+        return self._sweep(dict(row)) is None
 
 
 class _OracleRun:
@@ -255,47 +282,43 @@ class _OracleRun:
         self.ncols_below = [0] * (workdeg + 1)
         for d in range(workdeg):
             self.ncols_below[d + 1] = self.ncols_below[d] + len(by_deg[d])
-        self.ech = _Echelon(len(self.cols), self.p)
+        self.ech = _Echelon(self.p)
         self.pivots_by_deg = [0] * (workdeg + 1)
         for g in gens:
             o = g.order()
             for mdeg in range(workdeg - o):
                 for mult in by_deg[mdeg]:
-                    col = self.ech.insert(self._vector(g, mult))
+                    col = self.ech.insert(self._row(g, mult))
                     if col is not None:
                         self.pivots_by_deg[mono_deg(self.cols[col])] += 1
         self.pivots_below = [0] * (workdeg + 1)
         for d in range(workdeg):
             self.pivots_below[d + 1] = self.pivots_below[d] + self.pivots_by_deg[d]
 
-    def _vector(self, g: Polynomial, mult: Mono) -> np.ndarray:
-        vec = np.zeros(len(self.cols), dtype=np.int16)
+    def _row(self, g: Polynomial, mult: Mono) -> Dict[int, int]:
+        """mult*g truncated below the working degree."""
+        index = self.index
+        row = {}
         for mono, c in g.terms:
-            m = mono_mul(mono, mult)
-            col = self.index.get(m)
+            col = index.get(tuple(map(add, mono, mult)))
             if col is not None:
-                vec[col] = c
-        return vec
+                row[col] = c
+        return row
 
     def quotient_dim(self, d: int) -> int:
         """lambda_d = dim R/(I + m^d)."""
         return self.ncols_below[d] - self.pivots_below[d]
 
-    def poly_vector(self, g: Polynomial) -> np.ndarray:
-        vec = np.zeros(len(self.cols), dtype=np.int16)
-        for mono, c in g.terms:
-            col = self.index.get(mono)
-            if col is not None:
-                vec[col] = c
-        return vec
+    def poly_row(self, g: Polynomial) -> Dict[int, int]:
+        """g truncated below the working degree."""
+        index = self.index
+        return {index[mono]: c for mono, c in g.terms if mono in index}
 
     def pure_power_in_span(self, var: int, through: int) -> bool:
         n = len(self.cols[0])
         for e in range(1, through + 1):
             mono = tuple(e if i == var else 0 for i in range(n))
-            vec = np.zeros(len(self.cols), dtype=np.int16)
-            vec[self.index[mono]] = 1
-            if self.ech.member(vec):
+            if self.ech.member({self.index[mono]: 1}):
                 return True
         return False
 
@@ -372,4 +395,4 @@ def truncation_contains(ideal: IdealPresentation, g: Polynomial,
         return True
     # Truncating g below the working degree is sound: past stabilization,
     # every monomial of degree >= workdeg lies in the extended ideal.
-    return run.ech.member(run.poly_vector(g))
+    return run.ech.member(run.poly_row(g))

@@ -208,17 +208,23 @@ class Polynomial:
     def tail(self) -> "Polynomial":
         return Polynomial(self.ring, self.terms[1:])
 
+    # Both orderings compare the total degree first, so the terms run by
+    # decreasing degree (global) or increasing degree (local), and the
+    # extreme degrees sit at the two ends of the term tuple.
+
     def degree(self) -> int:
         """Maximal total degree of a term (-1 for the zero polynomial)."""
         if not self.terms:
             return -1
-        return max(mono_deg(m) for m, _ in self.terms)
+        last = self.ring.ordering is OrderingTag.LOCAL_NEG_DEGREVLEX
+        return mono_deg(self.terms[-1 if last else 0][0])
 
     def order(self) -> int:
         """Minimal total degree of a term (-1 for the zero polynomial)."""
         if not self.terms:
             return -1
-        return min(mono_deg(m) for m, _ in self.terms)
+        last = self.ring.ordering is OrderingTag.GLOBAL_DEGREVLEX
+        return mono_deg(self.terms[-1 if last else 0][0])
 
     def ecart(self) -> int:
         return self.degree() - mono_deg(self.lm())

@@ -259,3 +259,29 @@ def test_step_cap_raises_engine_limit():
         complete_basis(gens, step_cap=0)
     with pytest.raises(EngineLimitError):
         normal_form(parse_poly("x^2", r), complete_basis(gens), step_cap=0)
+
+
+# -- differential test against sympy --------------------------------------------
+
+def test_global_basis_matches_sympy_groebner():
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols("x y z")
+    rng = random.Random(54)
+
+    def as_sympy(f, p):
+        expr = sum(c * sympy.Mul(*(s ** e for s, e in zip(syms, m))) for m, c in f.terms)
+        return sympy.Poly(expr, *syms, modulus=p)
+
+    def canonical(polys, p):
+        return sorted(sorted((m, int(c) % p) for m, c in q.monic().as_dict().items())
+                      for q in polys)
+
+    for case in range(60):
+        p = (2, 3, 5, 7)[case % 4]
+        ring = Ring(p, ("x", "y", "z"), GLOBAL)
+        gens = [random_poly(rng, ring) for _ in range(rng.randint(2, 3))]
+        ours = complete_basis(gens)
+        theirs = sympy.groebner([as_sympy(g, p).as_expr() for g in gens], *syms,
+                                modulus=p, order="grevlex")
+        assert canonical([as_sympy(g, p) for g in ours], p) == \
+            canonical([sympy.Poly(q, *syms, modulus=p) for q in theirs.exprs], p), (p, gens)

@@ -1,11 +1,20 @@
 
+import itertools
+import os
+import random
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import rdpdescent
 from rdpdescent import (INFINITE, HypersurfaceGerm, IdealPresentation,
                         OrderingTag, Ring, UNSTABLE, UsageError,
                         bracket_ideal, contains, is_parameter_ideal,
                         jacobian_ideal, local_length, parse_poly,
                         truncation_contains, truncation_length_oracle)
+from rdpdescent.ideals import _oracle_run, _OracleRun
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
@@ -246,3 +255,127 @@ def test_bracket_length_at_least_p_squared():
         lj, ljp = local_length(J), local_length(bracket_ideal(J, g))
         assert ljp >= p * p * lj
         assert (ljp == p * p * lj) == theta
+
+
+# -- the oracle's elimination against an independent dense rank --------------------
+
+def monomials_below(n, d):
+    """Exponent tuples of total degree < d, in any order."""
+    return [m for m in itertools.product(range(d), repeat=n) if sum(m) < d]
+
+
+def dense_rank(rows, p):
+    """Rank over F_p of a list of equal-length integer lists, by plain
+    Gaussian elimination."""
+    rows = [list(r) for r in rows]
+    rank = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][c], p - 2, p)
+        prow = [(v * inv) % p for v in rows[rank]]
+        rows[rank] = prow
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][c] % p
+            if f:
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], prow)]
+        rank += 1
+    return rank
+
+
+def macaulay_quotient_dim(gens, d):
+    """dim R/(I + m^d): the monomials of degree < d minus the rank of every
+    multiple m*g truncated below d."""
+    n, p = gens[0].ring.nvars, gens[0].ring.p
+    cols = monomials_below(n, d)
+    index = {m: i for i, m in enumerate(cols)}
+    rows = []
+    for g in gens:
+        for mult in cols:
+            row = [0] * len(cols)
+            for mono, c in g.terms:
+                col = index.get(tuple(a + b for a, b in zip(mono, mult)))
+                if col is not None:
+                    row[col] = c
+            rows.append(row)
+    return len(cols) - dense_rank(rows, p)
+
+
+def random_local_poly(rng, ring, max_terms, max_exp, constant=False):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        m = tuple(rng.randint(0, max_exp) for _ in range(ring.nvars))
+        if sum(m) or constant:
+            terms[m] = rng.randrange(1, ring.p)
+    return ring.poly(terms)
+
+
+def test_oracle_quotient_dims_match_a_dense_rank():
+    rng = random.Random(20261018)
+    checked = 0
+    for case in range(240):
+        p = (2, 3, 5, 97)[case % 4]
+        n = 2 + case % 2
+        ring = lring(p, ("x", "y", "z")[:n])
+        gens = [random_local_poly(rng, ring, 3, 3) for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if not g.is_zero]
+        if not gens:
+            continue
+        workdeg = rng.randint(3, 6 if n == 2 else 5)
+        run = _OracleRun(gens, workdeg)
+        for d in range(workdeg + 1):
+            assert run.quotient_dim(d) == macaulay_quotient_dim(gens, d), (p, gens, workdeg, d)
+        checked += 1
+    assert checked >= 200
+
+
+def test_oracle_membership_truncates_above_the_working_degree():
+    I = ideal_of(["x^2", "y^3"], 5, ("x", "y"))
+    r = I.ring
+    _, run, _ = _oracle_run(I, 64)
+    top = run.workdeg
+    at, above = f"y^{top}", f"x*y^{top + 3}+3*x^{top + 1}"
+    assert truncation_contains(I, parse_poly(at, r)) is True
+    assert truncation_contains(I, parse_poly(f"x+{above}", r)) is False
+    assert truncation_contains(I, parse_poly(f"x*y^2+{at}+{above}", r)) is False
+    assert truncation_contains(I, parse_poly(f"4*x^2*y+y^4+{at}+{above}", r)) is True
+
+
+def test_oracle_membership_matches_the_engine_with_high_terms():
+    rng = random.Random(7)
+    for case in range(60):
+        p = (2, 3, 5, 97)[case % 4]
+        ring = lring(p, ("x", "y"))
+        gens = [random_local_poly(rng, ring, 3, 4) for _ in range(3)]
+        I = IdealPresentation(gens, ring)
+        _, run, _ = _oracle_run(I, 24)
+        if run is None:
+            continue
+        top = run.workdeg
+        for _ in range(4):
+            low = random_local_poly(rng, ring, 3, 4, constant=True)
+            high = ring.poly({(top - k, k + rng.randint(0, 2)): rng.randrange(1, p)
+                              for k in range(0, top + 1, 3)})
+            g = low + high
+            assert truncation_contains(I, g) is contains(I, g), (p, gens, g)
+
+
+def test_oracle_cli_imports_no_numpy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rdpdescent.__file__)))
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import rdpdescent
+        from rdpdescent import cli
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = cli.main(["oracle", "--char", "3", "--gens", "x^2,y^3+x*z,z^2", "--json"])
+        assert code == 0, code
+        assert '"oracle_length": 12' in out.getvalue(), out.getvalue()
+        assert "numpy" not in sys.modules
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
