@@ -25,12 +25,16 @@ import time
 from typing import List, Optional
 
 from . import catalog
-from .criteria import BLOCKED, DESCENDS, UNDECIDED, run_battery
+from .criteria import (BLOCKED, DESCENDS, NOT_APPLICABLE, PASS, UNDECIDED,
+                       length_formula, run_battery)
 from .errors import EngineLimitError, UsageError
 from .gbasis import INFINITE
-from .ideals import (HypersurfaceGerm, IdealPresentation, bracket_ideal,
-                     jacobian_ideal, local_length, truncation_length_oracle,
-                     UNSTABLE)
+# jacobian_ideal and bracket_ideal are not called here; they stay names of
+# this module because perfbench/spans.py wraps them on every module that
+# hands work to the ideal layer.
+from .ideals import (HypersurfaceGerm, IdealPresentation, bracket_ideal,  # noqa: F401
+                     jacobian_ideal, length_tag, local_length,
+                     truncation_length_oracle, UNSTABLE)
 from .parse import ParseError, parse_poly
 from .poly import OrderingTag, Ring, render
 
@@ -47,14 +51,6 @@ def _ring(char: int, varnames: str) -> Ring:
 
 def _emit_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
-def _fin(x):
-    if x == INFINITE:
-        return "INFINITE"
-    if x is UNSTABLE:
-        return "UNSTABLE"
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -98,15 +94,16 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _recompute_row(rec) -> dict:
-    germ = rec.germ()
-    p = rec.char
-    jac = jacobian_ideal(germ)
-    lj = local_length(jac)
-    ljp = local_length(bracket_ideal(jac, germ))
-    theta = (ljp == p ** germ.dim * lj) if lj != INFINITE and ljp != INFINITE else None
+    report = length_formula(rec.germ())
+    if report.status == NOT_APPLICABLE:
+        # J is not m-primary, and neither is J^[p], which has the same radical.
+        lj, ljp, theta = INFINITE, INFINITE, None
+    else:
+        lj, ljp = report.witness["len_jacobian"], report.witness["len_bracket"]
+        theta = report.status == PASS
     return {
         "label": rec.label, "equation": rec.equation, "pi1": rec.pi1,
-        "len_j": _fin(lj), "len_jp": _fin(ljp), "theta_free": theta,
+        "len_j": length_tag(lj), "len_jp": length_tag(ljp), "theta_free": theta,
         "stored_len_j": rec.ref_len_j, "stored_len_jp": rec.ref_len_jp,
         "stored_theta_free": rec.ref_theta_free,
         "match": (lj == rec.ref_len_j and ljp == rec.ref_len_jp
@@ -206,8 +203,8 @@ def cmd_oracle(args) -> int:
     payload = {
         "input": {"char": args.char, "vars": list(ring.names),
                   "gens": [render(g) for g in gens]},
-        "engine_length": _fin(engine),
-        "oracle_length": _fin(oracle),
+        "engine_length": length_tag(engine),
+        "oracle_length": length_tag(oracle),
         "degree_cap": args.degree_cap,
         "agree": agree,
     }
@@ -215,8 +212,8 @@ def cmd_oracle(args) -> int:
         sys.stdout.write(_emit_json(payload))
     else:
         print(f"generators: {', '.join(render(g) for g in gens)}  (p = {args.char})")
-        print(f"engine length: {_fin(engine)}")
-        oracle_str = _fin(oracle)
+        print(f"engine length: {length_tag(engine)}")
+        oracle_str = length_tag(oracle)
         if oracle is UNSTABLE:
             oracle_str = f"UNSTABLE (no stabilization below degree cap {args.degree_cap})"
         print(f"oracle length: {oracle_str}")

@@ -35,7 +35,7 @@ from .errors import ConsistencyError, EngineLimitError, UsageError
 from .gbasis import INFINITE
 from .ideals import (HypersurfaceGerm, IdealPresentation, bracket_ideal,
                      contains, is_parameter_ideal, jacobian_ideal,
-                     local_length)
+                     length_tag, local_length)
 from .poly import mono_deg
 
 PASS = "PASS"
@@ -81,10 +81,6 @@ class Verdict:
     reasons: Tuple[CriterionReport, ...]
 
 
-def _fin(x):
-    return "INFINITE" if x == INFINITE else x
-
-
 def tjurina_p_divisible(germ: HypersurfaceGerm, step_cap: Optional[int] = None) -> CriterionReport:
     """p divides the local length of the jacobian quotient."""
     p = germ.ring.p
@@ -108,7 +104,7 @@ def length_formula(germ: HypersurfaceGerm, step_cap: Optional[int] = None) -> Cr
     expected = p ** germ.dim * lj
     status = PASS if ljp == expected else FAIL
     return CriterionReport(LENGTH_FORMULA, status,
-                           {"len_jacobian": lj, "len_bracket": _fin(ljp), "expected": expected})
+                           {"len_jacobian": lj, "len_bracket": length_tag(ljp), "expected": expected})
 
 
 def theta_free(germ: HypersurfaceGerm, step_cap: Optional[int] = None) -> CriterionReport:

@@ -1,16 +1,22 @@
 """Groebner bases (global ordering, Buchberger) and standard bases (local
 ordering, Mora).
 
-For the global degrevlex ordering, normal forms are computed by the plain
-multivariate division algorithm and completion is Buchberger's loop with
-the coprimality criterion.  For the local ordering, normal forms use
-Mora's algorithm with ecart-minimizing reducer selection: the working set
-of reducers grows with intermediate remainders, which is what makes the
-division terminate although the ordering is not a well-ordering.  A Mora
-normal form is a *weak* normal form: u*f = sum q_i g_i + nf for some unit
-u of the localization, its leading monomial is irreducible, and nf = 0 if
-and only if f lies in the ideal extended to the localization at the
-origin.  Tail terms of a local normal form may still be divisible by
+Every normal form, under either ordering, comes from one reduction loop,
+`_reduce`: Mora's weak normal form with ecart-minimizing reducer selection
+(Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.6),
+which can also return the certificate of its result.  Under the local
+ordering the working set of reducers grows with intermediate remainders,
+which is what makes the division terminate although the ordering is not
+a well-ordering.  Under the global degrevlex ordering every ecart is 0,
+so nothing joins the reducers and the first divisor is chosen: the loop
+is the plain multivariate division algorithm, and it moves irreducible
+leading terms to a remainder, so the result is fully reduced.
+Completion is Buchberger's pair loop under both orderings.
+
+A Mora normal form is a *weak* normal form: u*f = sum q_i g_i + nf for
+some unit u of the localization, its leading monomial is irreducible, and
+nf = 0 if and only if f lies in the ideal extended to the localization at
+the origin.  Tail terms of a local normal form may still be divisible by
 leading terms; full tail reduction need not terminate in a localization
 and nothing downstream needs it.
 
@@ -80,9 +86,9 @@ class _Budget:
 
     __slots__ = ("remaining", "cap")
 
-    def __init__(self, cap: int):
-        self.cap = cap
-        self.remaining = cap
+    def __init__(self, cap: Optional[int]):
+        self.cap = DEFAULT_STEP_CAP if cap is None else cap
+        self.remaining = self.cap
 
     def spend(self, n: int = 1):
         self.remaining -= n
@@ -165,102 +171,63 @@ def spoly(f: Polynomial, g: Polynomial, corner: Optional[int] = None) -> Polynom
     return a - b
 
 
-def _reduce_step(h: Polynomial, g: Polynomial, corner: Optional[int] = None) -> Polynomial:
-    """Cancel the leading term of h against g (LM(g) must divide LM(h)),
-    leaving out the terms of g's multiple of degree >= corner."""
-    p = h.ring.p
-    c = (h.lc() * inv_mod(g.lc(), p)) % p
-    mult = mono_quot(h.lm(), g.lm())
-    return h - _truncate(g, _below(corner, mult)).term_mul(c, mult)
+def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
+            corner: Optional[int] = None, trace: bool = False):
+    """Normal form of f against gens: the one reduction loop of the engine.
 
+    Each step cancels the leading term of the working polynomial h against
+    the reducer of least ecart whose leading monomial divides it, ties
+    going to the lowest index.  Under the local ordering (Mora) h joins
+    the reducers when its ecart is below the chosen one's, and the loop
+    stops at an irreducible leading term: a weak normal form.  Under the
+    global ordering every ecart is 0, so the rule picks the first divisor
+    and nothing joins; an irreducible leading term moves to the remainder,
+    which makes the result fully reduced.  With a corner D, f and every
+    reducer multiple are kept free of terms of degree >= D.
 
-def _global_nf(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget) -> Polynomial:
-    """Fully reduced normal form for a well-ordering: no term of the result
-    is divisible by any leading monomial of gens."""
-    remainder_terms = []
-    h = f
-    while not h.is_zero:
-        lm = h.lm()
-        for g in gens:
-            if mono_divides(g.lm(), lm):
-                budget.step(h, g)
-                h = _reduce_step(h, g)
-                break
-        else:
-            remainder_terms.append(h.terms[0])
-            h = h.tail()
-    return Polynomial(f.ring, tuple(remainder_terms))
-
-
-def _mora_nf(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
-             corner: Optional[int] = None) -> Polynomial:
-    """Mora weak normal form with ecart-minimizing reducer selection and
-    stable tie-breaking by reducer index.  With a corner D, every
-    intermediate (and so the result) is kept free of terms of degree >= D."""
-    reducers: List[Tuple[Polynomial, int]] = [(g, g.ecart()) for g in gens]
-    h = _truncate(f, corner)
-    while not h.is_zero:
-        lm = h.lm()
-        best = None
-        for idx, (g, ec) in enumerate(reducers):
-            if mono_divides(g.lm(), lm):
-                if best is None or ec < best[0]:
-                    best = (ec, idx)
-        if best is None:
-            return h
-        ec, idx = best
-        if ec > h.ecart():
-            reducers.append((h, h.ecart()))
-        budget.step(h, reducers[idx][0])
-        h = _reduce_step(h, reducers[idx][0], corner)
-    return h
-
-
-def _nf_with_trace(f: Polynomial, gens: Sequence[Polynomial]):
-    """Normal form with an explicit certificate, for self-checks.
-
-    Returns (nf, u, quots) with  u*f = sum(quots[i]*gens[i]) + nf,  where u
-    is a polynomial with nonzero constant term (a unit of the localization;
-    identically 1 under the global ordering).
+    With trace, returns (nf, u, quots) with u*f = sum(quots[i]*gens[i]) + nf
+    up to terms of degree >= corner, where u has a nonzero constant term
+    (a unit of the localization; 1 under the global ordering).
     """
     ring = f.ring
-    local = ring.ordering == OrderingTag.LOCAL_NEG_DEGREVLEX
-    budget = _Budget(DEFAULT_STEP_CAP)
-    one, zero = ring.one(), ring.zero()
-    # Each working element carries its decomposition  h = u*f - sum q_i g_i.
-    reducers = [(g, g.ecart(), None) for g in gens]  # None: an original generator
-    h, u, quots = f, one, [zero] * len(gens)
-    remainder_terms: List = []
+    p = ring.p
+    is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
+    # (reducer, its ecart, its certificate): the index of a generator, or
+    # (u, quots) with reducer = u*f - sum quots[i]*gens[i] for a joined h.
+    reducers: List[Tuple[Polynomial, int, object]] = [(g, g.ecart(), i) for i, g in enumerate(gens)]
+    h = _truncate(f, corner)
+    remainder: List[Tuple[Mono, int]] = []
+    if trace:
+        u, quots = ring.one(), [ring.zero()] * len(gens)
     while not h.is_zero:
         lm = h.lm()
         best = None
-        for idx, (g, ec, _) in enumerate(reducers):
-            if mono_divides(g.lm(), lm):
-                if best is None or ec < best[0]:
-                    best = (ec, idx)
+        for r in reducers:
+            if (best is None or r[1] < best[1]) and mono_divides(r[0].lm(), lm):
+                best = r
+                if r[1] == 0:
+                    break  # nothing later can win
         if best is None:
-            if local:
+            if not is_global:
                 break
-            remainder_terms.append(h.terms[0])
+            remainder.append(h.terms[0])
             h = h.tail()
             continue
-        _, idx = best
-        g, ec, payload = reducers[idx]
-        if local and ec > h.ecart():
-            reducers.append((h, h.ecart(), (u, list(quots))))
-        budget.spend()
-        p = ring.p
+        g, ec, cert = best
+        if ec and ec > h.ecart():
+            reducers.append((h, h.ecart(), (u, tuple(quots)) if trace else None))
+        budget.step(h, g)
         c = (h.lc() * inv_mod(g.lc(), p)) % p
-        mult = mono_quot(h.lm(), g.lm())
-        h = h - g.term_mul(c, mult)
-        if payload is None:
-            quots[idx] = quots[idx] + gens[idx].ring.one().term_mul(c, mult)
-        else:
-            gu, gq = payload
-            u = u - gu.term_mul(c, mult)
-            quots = [q - qq.term_mul(c, mult) for q, qq in zip(quots, gq)]
-    nf = Polynomial(ring, tuple(remainder_terms)) if remainder_terms else h
-    return nf, u, quots
+        mult = mono_quot(lm, g.lm())
+        h = h - _truncate(g, _below(corner, mult)).term_mul(c, mult)
+        if trace:
+            if isinstance(cert, int):
+                quots[cert] = quots[cert] + ring.poly({mult: c})
+            else:
+                u = u - cert[0].term_mul(c, mult)
+                quots = [q - gq.term_mul(c, mult) for q, gq in zip(quots, cert[1])]
+    nf = Polynomial(ring, tuple(remainder)) if is_global else h
+    return (nf, u, quots) if trace else nf
 
 
 def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynomial:
@@ -270,17 +237,10 @@ def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynom
     weak normal form, without terms of degree >= basis.corner; zero exactly
     when f lies in the ideal inside the localization at the origin.
     """
-    return _normal_form(f, tuple(basis), getattr(basis, "corner", None), step_cap)
-
-
-def _normal_form(f: Polynomial, gens: Tuple[Polynomial, ...], corner: Optional[int],
-                 step_cap: Optional[int]) -> Polynomial:
+    gens = tuple(basis)
     for g in gens:
         f._check_ring(g)
-    budget = _Budget(DEFAULT_STEP_CAP if step_cap is None else step_cap)
-    if f.ring.ordering == OrderingTag.GLOBAL_DEGREVLEX:
-        return _global_nf(f, gens, budget)
-    return _mora_nf(f, gens, budget, corner)
+    return _reduce(f, gens, _Budget(step_cap), getattr(basis, "corner", None))
 
 
 def _prepare(gens: Sequence[Polynomial]) -> List[Polynomial]:
@@ -375,7 +335,7 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     ring = gens[0].ring
     for g in gens[1:]:
         gens[0]._check_ring(g)
-    budget = _Budget(DEFAULT_STEP_CAP if step_cap is None else step_cap)
+    budget = _Budget(step_cap)
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
 
     basis = _prepare(gens)
@@ -406,7 +366,7 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
         if is_global and lcm_of(i, j) == mono_mul(basis[i].lm(), basis[j].lm()):
             continue  # coprime leading monomials: S-pair reduces to zero
         s = spoly(basis[i], basis[j], corner)
-        h = _global_nf(s, basis, budget) if is_global else _mora_nf(s, basis, budget, corner)
+        h = _reduce(s, basis, budget, corner)
         if h.is_zero:
             continue
         basis.append(h.monic())
@@ -440,7 +400,7 @@ def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
             changed = False
             for i in range(len(kept)):
                 others = kept[:i] + kept[i + 1:]
-                r = _global_nf(kept[i], others, budget).monic()
+                r = _reduce(kept[i], others, budget).monic()
                 if r != kept[i]:
                     kept[i] = r
                     changed = True
@@ -464,7 +424,7 @@ def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None)
     corner = (None if basis.ordering == OrderingTag.GLOBAL_DEGREVLEX
               else _corner_degree(basis.leading_monomials()))
     for i, j in itertools.combinations(range(len(gens)), 2):
-        if not _normal_form(spoly(gens[i], gens[j]), gens, corner, step_cap).is_zero:
+        if not _reduce(spoly(gens[i], gens[j]), gens, _Budget(step_cap), corner).is_zero:
             return False
     return True
 

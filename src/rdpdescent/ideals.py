@@ -28,7 +28,6 @@ every variable is visible inside the row space before it reports a value.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -54,6 +53,16 @@ class _Unstable:
 #: within the degree cap.
 UNSTABLE = _Unstable()
 
+
+def length_tag(x):
+    """A length as JSON output shows it: INFINITE and UNSTABLE by name."""
+    if x == INFINITE:
+        return "INFINITE"
+    if x is UNSTABLE:
+        return "UNSTABLE"
+    return x
+
+
 DEFAULT_DEGREE_CAP = 64
 
 # Work bound for the oracle: a working degree whose monomials below it
@@ -63,9 +72,14 @@ _MAX_COLUMNS = 13000
 
 class IdealPresentation:
     """A finite generator list in a fixed ambient ring.  The zero ideal is
-    presented by (0,)."""
+    presented by (0,).
 
-    __slots__ = ("gens", "ring")
+    A presentation keeps what is derived from it: its completed local
+    basis per step cap, and its Frobenius bracket.  Each is a function of
+    the generators, so computing one twice and storing either copy is
+    harmless."""
+
+    __slots__ = ("gens", "ring", "_bases", "_bracket")
 
     def __init__(self, gens: Sequence[Polynomial], ring: Optional[Ring] = None):
         gens = tuple(gens)
@@ -78,6 +92,8 @@ class IdealPresentation:
                 raise UsageError("ideal generators live in different ambient rings")
         self.gens = gens
         self.ring = ring
+        self._bases: Dict[Optional[int], StandardBasis] = {}
+        self._bracket: Optional[Tuple[Polynomial, "IdealPresentation"]] = None
 
     def local(self) -> "IdealPresentation":
         """The same presentation under the local ordering."""
@@ -98,9 +114,10 @@ class IdealPresentation:
 
 class HypersurfaceGerm:
     """A hypersurface singularity germ at the origin: an equation f with
-    f(0) = 0 in an n-variable ring; the germ has dimension n - 1."""
+    f(0) = 0 in an n-variable ring; the germ has dimension n - 1.  It
+    keeps its jacobian presentation, so the criteria share one."""
 
-    __slots__ = ("f", "ring")
+    __slots__ = ("f", "ring", "_jacobian")
 
     def __init__(self, f: Polynomial):
         if f.is_zero:
@@ -109,6 +126,7 @@ class HypersurfaceGerm:
             raise UsageError("the equation must vanish at the origin")
         self.f = f
         self.ring = f.ring
+        self._jacobian: Optional[IdealPresentation] = None
 
     @property
     def dim(self) -> int:
@@ -120,11 +138,14 @@ class HypersurfaceGerm:
 
 def jacobian_ideal(germ: HypersurfaceGerm) -> IdealPresentation:
     """The presentation (df/dx_1, ..., df/dx_n, f); its local quotient
-    length at an isolated singularity is the Tjurina number."""
-    f = germ.f
-    gens = [f.partial(i) for i in range(germ.ring.nvars)]
-    gens.append(f)
-    return IdealPresentation(gens, germ.ring)
+    length at an isolated singularity is the Tjurina number.  The same
+    object on every call for one germ."""
+    if germ._jacobian is None:
+        f = germ.f
+        gens = [f.partial(i) for i in range(germ.ring.nvars)]
+        gens.append(f)
+        germ._jacobian = IdealPresentation(gens, germ.ring)
+    return germ._jacobian
 
 
 def bracket_ideal(ideal: IdealPresentation, germ: HypersurfaceGerm) -> IdealPresentation:
@@ -133,26 +154,31 @@ def bracket_ideal(ideal: IdealPresentation, germ: HypersurfaceGerm) -> IdealPres
     Presents the ideal generated by the p-th powers of all elements of
     ideal/(f) inside the quotient ring: raising to the p-th power is a ring
     homomorphism in characteristic p, so generator powers suffice.
-    Requires f to be a member of the presented ideal.
+    Requires f to be a member of the presented ideal.  The same object on
+    every call with one ideal and one equation.
     """
     f = germ.f
+    if ideal._bracket is not None and ideal._bracket[0] == f:
+        return ideal._bracket[1]
     if ideal.ring != germ.ring:
         raise UsageError("ideal and germ live in different ambient rings")
     if f not in ideal.gens and not contains(ideal, f):
         raise UsageError("bracket_ideal requires the hypersurface equation to lie in the ideal")
     gens = [g.frobenius(1) for g in ideal.gens if g != f]
     gens.append(f)
-    return IdealPresentation(gens, germ.ring)
-
-
-@lru_cache(maxsize=512)
-def _completed_local(gens: Tuple[Polynomial, ...], step_cap: Optional[int]) -> StandardBasis:
-    return complete_basis(gens, step_cap)
+    bracket = IdealPresentation(gens, germ.ring)
+    ideal._bracket = (f, bracket)
+    return bracket
 
 
 def _local_basis(ideal: IdealPresentation, step_cap: Optional[int]) -> StandardBasis:
-    loc = ideal.local()
-    return _completed_local(loc.gens, step_cap)
+    """The standard basis of ideal under the local ordering.  It is kept per
+    step cap, so that a cap too small to complete the basis fails as it
+    would on a fresh presentation."""
+    basis = ideal._bases.get(step_cap)
+    if basis is None:
+        basis = ideal._bases[step_cap] = complete_basis(ideal.local().gens, step_cap)
+    return basis
 
 
 def local_length(ideal: IdealPresentation, step_cap: Optional[int] = None):

@@ -252,3 +252,39 @@ def test_battery_on_user_equation_has_na_group_criteria():
     assert by_id["PIC_TORSION_P_GROUP"] == NOT_APPLICABLE
     assert by_id["AN_P_POWER"] == NOT_APPLICABLE
     assert verdict.outcome == DESCENDS  # shape witness carries it
+
+
+# -- reuse of completed bases --------------------------------------------------
+
+def _count_completions(monkeypatch):
+    """Record the generators of every ideals.complete_basis call."""
+    import rdpdescent.ideals as ideals
+    calls = []
+    complete = ideals.complete_basis
+
+    def counted(gens, step_cap=None):
+        calls.append(tuple(gens))
+        return complete(gens, step_cap)
+
+    monkeypatch.setattr(ideals, "complete_basis", counted)
+    return calls
+
+
+def test_equal_germs_do_equal_work(monkeypatch):
+    # Completed bases belong to the germ's presentations, not to a process
+    # cache: a fresh but equal germ does all of the work again.
+    calls = _count_completions(monkeypatch)
+    rec = instantiate("E", 7, 1, 3)
+    run_battery(rec.germ(), record=rec)
+    first = len(calls)
+    run_battery(rec.germ(), record=rec)
+    assert first > 0
+    assert len(calls) - first == first
+
+
+@pytest.mark.parametrize("rec", [r for r in table_records() if r.char in (2, 3)],
+                         ids=lambda r: f"{r.label}-p{r.char}")
+def test_battery_completes_each_presentation_once(monkeypatch, rec):
+    calls = _count_completions(monkeypatch)
+    run_battery(rec.germ(), record=rec)
+    assert calls and len(set(calls)) == len(calls)

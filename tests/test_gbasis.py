@@ -7,7 +7,7 @@ from rdpdescent import (EngineLimitError, INFINITE, OrderingTag, Ring,
                         complete_basis, is_dimension_zero, leading_ideal,
                         normal_form, parse_poly, spoly,
                         s_pairs_reduce_to_zero, standard_monomial_count)
-from rdpdescent.gbasis import _nf_with_trace
+from rdpdescent.gbasis import _Budget, _reduce
 
 GLOBAL = OrderingTag.GLOBAL_DEGREVLEX
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
@@ -136,7 +136,7 @@ def test_reduction_trace_identity_global():
         if len(b) == 0:
             continue
         f = random_poly(rng, r, max_terms=4)
-        nf, unit, quots = _nf_with_trace(f, b.gens)
+        nf, unit, quots = _reduce(f, b.gens, _Budget(None), trace=True)
         combo = r.zero()
         for q, g in zip(quots, b.gens):
             combo = combo + q * g
@@ -160,13 +160,47 @@ def test_reduction_trace_identity_local():
         if len(b) == 0:
             continue
         f = random_poly(rng, r, max_terms=4)
-        nf, unit, quots = _nf_with_trace(f, b.gens)
+        nf, unit, quots = _reduce(f, b.gens, _Budget(None), trace=True)
         combo = r.zero()
         for q, g in zip(quots, b.gens):
             combo = combo + q * g
         assert unit.constant_coeff() != 0, "Mora multiplier must be a unit at the origin"
         assert unit * f == combo + nf
         done += 1
+
+
+def test_reduction_trace_identity_local_at_corner():
+    # With the corner D of the basis, the production loop drops terms of
+    # degree >= D, which lie in the ideal: the certificate holds modulo m^D.
+    rng = random.Random(44)
+    done = 0
+    while done < 60:
+        p = rng.choice([2, 3, 5])
+        r = Ring(p, ("x", "y"), LOCAL)
+        gens = [random_poly(rng, r, max_exp=4) for _ in range(3)]
+        gens = [g - r.constant(g.constant_coeff()) for g in gens]  # not the unit ideal
+        try:
+            b = complete_basis(gens, step_cap=4000)
+        except EngineLimitError:
+            continue
+        if b.corner is None:
+            continue
+        f = random_poly(rng, r, max_terms=6, max_exp=6)
+        nf, unit, quots = _reduce(f, b.gens, _Budget(None), b.corner, trace=True)
+        combo = r.zero()
+        for q, g in zip(quots, b.gens):
+            combo = combo + q * g
+        assert unit.constant_coeff() != 0, "Mora multiplier must be a unit at the origin"
+        assert nf == normal_form(f, b)
+        assert all(sum(m) < b.corner for m, _ in nf.terms)
+        assert all(sum(m) >= b.corner for m, _ in (unit * f - combo - nf).terms)
+        done += 1
+    # x joins the reducers (ecart 0 below 1), and then cancels x^2:
+    # (1 - x)*x = 1*(x - x^2)
+    r = Ring(3, ("x", "y"), LOCAL)
+    b = basis_of(["x-x^2", "y^3"], r)
+    nf, unit, quots = _reduce(parse_poly("x", r), b.gens, _Budget(None), b.corner, trace=True)
+    assert (b.corner, nf, unit, quots) == (3, r.zero(), parse_poly("1-x", r), [r.one(), r.zero()])
 
 
 # -- S-pair self-check suite -------------------------------------------------

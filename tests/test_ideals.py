@@ -116,6 +116,53 @@ def test_bracket_generators_lie_in_original():
 
 # -- local lengths ----------------------------------------------------------------
 
+def test_germ_keeps_its_jacobian_and_bracket():
+    germ = germ_of("z^2+x^3+y^5", p=5)
+    jac = jacobian_ideal(germ)
+    assert jacobian_ideal(germ) is jac
+    assert bracket_ideal(jacobian_ideal(germ), germ) is bracket_ideal(jac, germ)
+    # an equal germ gets an equal presentation of its own
+    other = jacobian_ideal(germ_of("z^2+x^3+y^5", p=5))
+    assert other == jac and other is not jac
+
+
+def test_kept_basis_does_not_lift_a_smaller_step_cap():
+    from rdpdescent import EngineLimitError
+    ideal = ideal_of(["x^2+y^3", "y^4", "z^2"])
+    assert local_length(ideal) == 16
+    with pytest.raises(EngineLimitError):
+        local_length(ideal, step_cap=0)
+    with pytest.raises(EngineLimitError):
+        contains(ideal, parse_poly("y^3", lring()), step_cap=0)
+    assert local_length(ideal, step_cap=50) == 16
+
+
+def test_memos_under_concurrent_queries():
+    # Threads racing on one germ's memos may each compute a basis; any copy
+    # stored is equal, so every answer is the same.
+    import threading
+    germ = germ_of("z^2+x^3+y^5", p=5)
+    answers = []
+
+    def query():
+        jac = jacobian_ideal(germ)
+        answers.append((local_length(jac), local_length(bracket_ideal(jac, germ)),
+                        contains(jac, germ.f)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=query) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == [(10, 250, True)] * 4
+
+
 def test_maximal_ideal_length_one():
     assert local_length(ideal_of(["x", "y", "z"])) == 1
 
