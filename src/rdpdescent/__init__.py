@@ -12,7 +12,7 @@ from .criteria import (BLOCKED, DESCENDS, FAIL, NOT_APPLICABLE, PASS,
                        run_battery, shape_witness, theta_free,
                        tjurina_p_divisible)
 from .errors import ConsistencyError, EngineLimitError, UsageError
-from .field import FpElem, PrimeChar
+from .field import PrimeChar
 from .gbasis import (INFINITE, StandardBasis, complete_basis,
                      is_dimension_zero, leading_ideal, normal_form, spoly,
                      standard_monomial_count, s_pairs_reduce_to_zero)
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BLOCKED", "ConsistencyError", "CriterionReport", "DESCENDS",
-    "EngineLimitError", "FAIL", "FpElem", "HypersurfaceGerm",
+    "EngineLimitError", "FAIL", "HypersurfaceGerm",
     "IdealPresentation", "INFINITE", "Mono", "NOT_APPLICABLE",
     "OrderingTag", "ParseError", "PASS", "Polynomial", "PrimeChar", "Ring",
     "SingularityRecord", "StandardBasis", "UNDECIDED", "UNDETERMINED",

@@ -34,7 +34,7 @@ from .gbasis import INFINITE
 # hands work to the ideal layer.
 from .ideals import (HypersurfaceGerm, IdealPresentation, bracket_ideal,  # noqa: F401
                      jacobian_ideal, length_tag, local_length,
-                     truncation_length_oracle, UNSTABLE)
+                     truncation_length_oracle, DEFAULT_DEGREE_CAP, UNSTABLE)
 from .parse import ParseError, parse_poly
 from .poly import OrderingTag, Ring, render
 
@@ -93,8 +93,8 @@ def cmd_analyze(args) -> int:
 # tables
 # ---------------------------------------------------------------------------
 
-def _recompute_row(rec) -> dict:
-    report = length_formula(rec.germ())
+def _recompute_row(rec, step_cap: Optional[int]) -> dict:
+    report = length_formula(rec.germ(), step_cap)
     if report.status == NOT_APPLICABLE:
         # J is not m-primary, and neither is J^[p], which has the same radical.
         lj, ljp, theta = INFINITE, INFINITE, None
@@ -112,11 +112,14 @@ def _recompute_row(rec) -> dict:
 
 
 def cmd_tables(args) -> int:
-    rows = [rec for rec in catalog.table_records()
-            if rec.char == args.char and rec.n <= args.max_n]
-    if not rows:
+    records = [rec for rec in catalog.table_records() if rec.char == args.char]
+    if not records:
         raise UsageError(f"tables exist for characteristics 2, 3, 5; got {args.char}")
-    computed = [_recompute_row(rec) for rec in rows]
+    rows = [rec for rec in records if rec.n <= args.max_n]
+    if not rows:
+        smallest = min(rec.n for rec in records)
+        raise UsageError(f"--max-n must be at least {smallest}, the smallest E-type index; got {args.max_n}")
+    computed = [_recompute_row(rec, args.step_cap) for rec in rows]
     all_match = all(row["match"] for row in computed)
     if args.json:
         sys.stdout.write(_emit_json({"char": args.char, "rows": computed, "all_match": all_match}))
@@ -272,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_oracle)
     p_oracle.add_argument("--gens", required=True,
                           help="comma-separated generator list in the expression grammar")
-    p_oracle.add_argument("--degree-cap", type=int, default=64,
-                          help="oracle truncation degree cap (default 64)")
+    p_oracle.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,
+                          help=f"oracle truncation degree cap (default {DEFAULT_DEGREE_CAP})")
     p_oracle.set_defaults(func=cmd_oracle)
 
     return parser

@@ -152,16 +152,21 @@ def invertible_summand(germ: HypersurfaceGerm, step_cap: Optional[int] = None) -
     return CriterionReport(INVERTIBLE_SUMMAND, FAIL, {"failures": failures})
 
 
+def _split_p_part(m: int, p: int) -> Tuple[int, int]:
+    """(e, r) with m = p^e * r and r prime to p, for m >= 1."""
+    e = 0
+    while m % p == 0:
+        m //= p
+        e += 1
+    return e, m
+
+
 def an_p_power(n: int, char: int) -> CriterionReport:
     """A_n descends exactly when n + 1 = p^e with e >= 1."""
     if n < 1:
         raise UsageError(f"A_n needs n >= 1, got {n}")
-    m = n + 1
-    e = 0
-    while m % char == 0:
-        m //= char
-        e += 1
-    if m == 1 and e >= 1:
+    e, rest = _split_p_part(n + 1, char)
+    if rest == 1 and e >= 1:
         return CriterionReport(AN_P_POWER, PASS, {"n": n, "q": char ** e})
     return CriterionReport(AN_P_POWER, FAIL, {"n": n, "detail": f"{n + 1} is not a power of {char}"})
 
@@ -171,10 +176,7 @@ def pic_torsion_p_group(pic_order: int, char: int) -> CriterionReport:
     (order 1) passes."""
     if pic_order < 1:
         raise UsageError(f"group order must be positive, got {pic_order}")
-    m = pic_order
-    while m % char == 0:
-        m //= char
-    if m == 1:
+    if _split_p_part(pic_order, char)[1] == 1:
         return CriterionReport(PIC_TORSION_P_GROUP, PASS, {"order": pic_order})
     return CriterionReport(PIC_TORSION_P_GROUP, FAIL,
                            {"order": pic_order, "detail": f"order {pic_order} has prime-to-{char} torsion"})
@@ -191,27 +193,16 @@ def pi1_trivial(pi1_descriptor: Optional[str]) -> CriterionReport:
     return CriterionReport(PI1_TRIVIAL, FAIL, {"group": pi1_descriptor})
 
 
-def shape_witness(germ: HypersurfaceGerm, q: Optional[int] = None) -> CriterionReport:
+def shape_witness(germ: HypersurfaceGerm) -> CriterionReport:
     """Sufficient certificate: f = v0^q + g, q = p^e with e >= 1, where g
     does not involve v0 and has neither constant nor linear terms."""
     ring = germ.ring
-    p = ring.p
     f = germ.f
-    deg = f.degree()
     qs: List[int] = []
-    if q is not None:
-        m, e = q, 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        if m != 1 or e < 1:
-            raise UsageError(f"q must be a positive power of {p}, got {q}")
-        qs = [q]
-    else:
-        power = p
-        while power <= deg:
-            qs.append(power)
-            power *= p
+    power = ring.p
+    while power <= f.degree():
+        qs.append(power)
+        power *= ring.p
     for v0 in range(ring.nvars):
         for qq in qs:
             target = tuple(qq if i == v0 else 0 for i in range(ring.nvars))
@@ -257,48 +248,38 @@ def aggregate_verdict(reports: Sequence[CriterionReport],
 
 def run_battery(germ: HypersurfaceGerm, record=None, short_circuit: bool = False,
                 step_cap: Optional[int] = None) -> Tuple[List[CriterionReport], Verdict]:
-    """Evaluate every applicable criterion for a germ, cheap ones first.
+    """Evaluate every criterion for a germ in CRITERION_ORDER, cheap ones first.
 
     record, when given, is a catalog SingularityRecord supplying the group
     theory (pi1, Picard order, A_n index) and the known verdict; without
     it the group-theoretic criteria report NOT_APPLICABLE.
     """
-    reports: List[CriterionReport] = []
-    surface = germ.ring.nvars == 3
-
-    def emit(report: CriterionReport) -> bool:
-        reports.append(report)
-        return short_circuit and report.status == FAIL
-
-    catalog_fact = None
-    if record is not None:
-        catalog_fact = record.known_verdict
-        if record.dynkin == "A":
-            stop = emit(an_p_power(record.n, record.char))
-        else:
-            stop = emit(CriterionReport(AN_P_POWER, NOT_APPLICABLE, {"detail": "A_n only"}))
-        if not stop:
-            stop = emit(pic_torsion_p_group(record.pic_order, record.char))
-        if not stop:
-            stop = emit(pi1_trivial(record.pi1))
+    # Criterion id -> a thunk, or the detail of a NOT_APPLICABLE report.
+    # The thunks look the criteria up as module globals when they run.
+    if record is None:
+        group_checks = dict.fromkeys((AN_P_POWER, PIC_TORSION_P_GROUP, PI1_TRIVIAL), "catalog records only")
     else:
-        reports.append(CriterionReport(AN_P_POWER, NOT_APPLICABLE, {"detail": "catalog records only"}))
-        reports.append(CriterionReport(PIC_TORSION_P_GROUP, NOT_APPLICABLE, {"detail": "catalog records only"}))
-        reports.append(CriterionReport(PI1_TRIVIAL, NOT_APPLICABLE, {"detail": "catalog records only"}))
-        stop = False
-
-    if not stop:
-        stop = emit(tjurina_p_divisible(germ, step_cap))
-    if not stop:
-        stop = emit(length_formula(germ, step_cap))
-    if not stop:
-        stop = emit(theta_free(germ, step_cap) if surface else
-                    CriterionReport(THETA_FREE, NOT_APPLICABLE, {"detail": "three variables only"}))
-    if not stop:
-        stop = emit(invertible_summand(germ, step_cap) if surface else
-                    CriterionReport(INVERTIBLE_SUMMAND, NOT_APPLICABLE, {"detail": "three variables only"}))
-    if not stop:
-        emit(shape_witness(germ))
-
-    verdict = aggregate_verdict(reports, catalog_fact)
-    return reports, verdict
+        group_checks = {
+            AN_P_POWER: (lambda: an_p_power(record.n, record.char)) if record.dynkin == "A" else "A_n only",
+            PIC_TORSION_P_GROUP: lambda: pic_torsion_p_group(record.pic_order, record.char),
+            PI1_TRIVIAL: lambda: pi1_trivial(record.pi1),
+        }
+    surface = germ.ring.nvars == 3
+    checks = {
+        **group_checks,
+        TJURINA_P_DIVISIBLE: lambda: tjurina_p_divisible(germ, step_cap),
+        LENGTH_FORMULA: lambda: length_formula(germ, step_cap),
+        THETA_FREE: (lambda: theta_free(germ, step_cap)) if surface else "three variables only",
+        INVERTIBLE_SUMMAND: ((lambda: invertible_summand(germ, step_cap)) if surface
+                             else "three variables only"),
+        SHAPE_WITNESS: lambda: shape_witness(germ),
+    }
+    reports: List[CriterionReport] = []
+    for cid in CRITERION_ORDER:
+        check = checks[cid]
+        report = check() if callable(check) else CriterionReport(cid, NOT_APPLICABLE, {"detail": check})
+        reports.append(report)
+        if short_circuit and report.status == FAIL:
+            break
+    catalog_fact = None if record is None else record.known_verdict
+    return reports, aggregate_verdict(reports, catalog_fact)

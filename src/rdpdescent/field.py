@@ -1,8 +1,9 @@
-"""Arithmetic in the prime field F_p for small primes p.
+"""The prime field F_p for small primes p: the checked characteristic and
+the modular inverse.
 
-Residues are kept canonically in [0, p).  The characteristic is capped at
-97: everything in the catalog lives in p = 2, 3, 5, and the cap keeps all
-arithmetic in native word size.
+Field elements are raw ints, kept canonically in [0, p) by the callers.
+The characteristic is capped at 97: everything in the catalog lives in
+p = 2, 3, 5, and the cap keeps all arithmetic in native word size.
 """
 
 from __future__ import annotations
@@ -27,9 +28,6 @@ class PrimeChar:
             raise UsageError(f"characteristic must be a prime with 2 <= p <= {MAX_CHAR}, got {p!r}")
         self.p = p
 
-    def __int__(self) -> int:
-        return self.p
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PrimeChar) and self.p == other.p
 
@@ -38,69 +36,6 @@ class PrimeChar:
 
     def __repr__(self) -> str:
         return f"PrimeChar({self.p})"
-
-    def element(self, value: int) -> "FpElem":
-        return FpElem(value, self)
-
-
-class FpElem:
-    """An element of F_p, stored as the canonical residue in [0, p)."""
-
-    __slots__ = ("value", "char")
-
-    def __init__(self, value: int, char: PrimeChar):
-        if not isinstance(char, PrimeChar):
-            char = PrimeChar(char)
-        self.char = char
-        self.value = value % char.p
-
-    def _check(self, other: "FpElem") -> "FpElem":
-        if not isinstance(other, FpElem):
-            raise UsageError(f"expected FpElem, got {type(other).__name__}")
-        if other.char != self.char:
-            raise UsageError(f"characteristic mismatch: {self.char.p} vs {other.char.p}")
-        return other
-
-    def __add__(self, other: "FpElem") -> "FpElem":
-        other = self._check(other)
-        return FpElem(self.value + other.value, self.char)
-
-    def __sub__(self, other: "FpElem") -> "FpElem":
-        other = self._check(other)
-        return FpElem(self.value - other.value, self.char)
-
-    def __mul__(self, other: "FpElem") -> "FpElem":
-        other = self._check(other)
-        return FpElem(self.value * other.value, self.char)
-
-    def __neg__(self) -> "FpElem":
-        return FpElem(-self.value, self.char)
-
-    def inv(self) -> "FpElem":
-        if self.value == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.char.p}")
-        # Fermat: a^(p-2) is the inverse of a nonzero a.
-        return FpElem(pow(self.value, self.char.p - 2, self.char.p), self.char)
-
-    def __truediv__(self, other: "FpElem") -> "FpElem":
-        return self * self._check(other).inv()
-
-    def __pow__(self, e: int) -> "FpElem":
-        if e < 0:
-            return self.inv() ** (-e)
-        return FpElem(pow(self.value, e, self.char.p), self.char)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FpElem) and self.char == other.char and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash((self.char.p, self.value))
-
-    def __repr__(self) -> str:
-        return f"FpElem({self.value}, p={self.char.p})"
-
-    def __bool__(self) -> bool:
-        return self.value != 0
 
 
 def inv_mod(value: int, p: int) -> int:

@@ -104,23 +104,26 @@ class StandardBasis:
     """A completed basis: minimal (pairwise non-divisible leading terms),
     monic, sorted with the largest leading monomial first.
 
-    corner is the highest-corner degree D of a local basis, read off its
-    own leading monomials: every monomial of degree D is a multiple of
-    one, so m^D lies in the ideal (module docstring).  It is None under
-    the global ordering and when some variable has no pure power.
+    The staircase of its leading monomials is swept once, here; the
+    corner, the dimension test and the standard-monomial count all read
+    that one result.  corner is the highest-corner degree D of a local
+    basis: every monomial of degree D is a multiple of a leading monomial,
+    so m^D lies in the ideal (module docstring).  It is None under the
+    global ordering and when some variable has no pure power.
     """
 
-    __slots__ = ("gens", "ring", "_corner")
+    __slots__ = ("gens", "ring", "_stair")
 
     def __init__(self, gens: Tuple[Polynomial, ...], ring: Ring):
         self.gens = gens
         self.ring = ring
-        self._corner = (None if ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
-                        else _corner_degree([g.lm() for g in gens]))
+        self._stair = _staircase([g.lm() for g in gens])
 
     @property
     def corner(self) -> Optional[int]:
-        return self._corner
+        if self._stair is None or self.ring.ordering == OrderingTag.GLOBAL_DEGREVLEX:
+            return None
+        return self._stair[1] + 1
 
     @property
     def ordering(self) -> OrderingTag:
@@ -446,15 +449,7 @@ def is_dimension_zero(basis: StandardBasis) -> bool:
     ideal at the origin; under the global one, that the quotient ring is a
     finite-dimensional vector space.
     """
-    n = basis.ring.nvars
-    lms = basis.leading_monomials()
-    unit = (0,) * n
-    if unit in lms:
-        return True
-    for i in range(n):
-        if not any(m[i] > 0 and sum(m) == m[i] for m in lms):
-            return False
-    return True
+    return basis._stair is not None
 
 
 def standard_monomial_count(basis: StandardBasis):
@@ -464,5 +459,4 @@ def standard_monomial_count(basis: StandardBasis):
     For a dimension-zero local standard basis this is the length of the
     Artinian quotient of the localization at the origin.
     """
-    stair = _staircase(basis.leading_monomials())
-    return INFINITE if stair is None else stair[0]
+    return INFINITE if basis._stair is None else basis._stair[0]

@@ -88,6 +88,27 @@ def test_tables_char2_all_match(capsys):
 def test_tables_rejects_characteristic_seven(capsys):
     code, out, err = run(capsys, "tables", "--char", "7")
     assert code == 2
+    note = json.loads(err.splitlines()[0])
+    assert note["error"] == "usage error"
+    assert note["message"] == "tables exist for characteristics 2, 3, 5; got 7"
+
+
+def test_tables_max_n_below_every_row_is_its_own_usage_error(capsys):
+    code, out, err = run(capsys, "tables", "--char", "2", "--max-n", "5", "--json")
+    assert code == 2
+    assert out == ""
+    note = json.loads(err.splitlines()[0])
+    assert note["error"] == "usage error"
+    assert note["message"] == "--max-n must be at least 6, the smallest E-type index; got 5"
+
+
+def test_tables_honours_step_cap(capsys):
+    code, out, err = run(capsys, "tables", "--char", "2", "--step-cap", "1", "--json")
+    assert code == 3
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "engine limit"
 
 
 def test_classify_char2_summary(capsys):

@@ -8,9 +8,9 @@ from rdpdescent import (ConsistencyError, HypersurfaceGerm, OrderingTag,
                         pi1_trivial, pic_torsion_p_group, run_battery,
                         shape_witness, theta_free, tjurina_p_divisible)
 from rdpdescent.catalog import instantiate, table_records
-from rdpdescent.criteria import (BLOCKED, DESCENDS, FAIL, NOT_APPLICABLE,
-                                 PASS, SHAPE_WITNESS, UNDETERMINED,
-                                 CriterionReport)
+from rdpdescent.criteria import (BLOCKED, CRITERION_ORDER, DESCENDS, FAIL,
+                                 NOT_APPLICABLE, PASS, SHAPE_WITNESS,
+                                 UNDETERMINED, CriterionReport)
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
@@ -171,14 +171,6 @@ def test_shape_d_odd_fails_despite_descending():
     assert rep.status == FAIL
 
 
-def test_shape_explicit_q():
-    g = germ_of("z^4+x^2*y")
-    assert shape_witness(g, q=4).status == PASS
-    assert shape_witness(g, q=2).status == FAIL
-    with pytest.raises(UsageError):
-        shape_witness(g, q=6)
-
-
 def test_shape_char3_e6_0():
     rep = shape_witness(catalog_germ("E", 6, 0, 3))
     assert rep.status == PASS
@@ -243,6 +235,27 @@ def test_short_circuit_stops_at_first_failure():
     assert verdict.outcome == BLOCKED
     assert reports[-1].status == FAIL
     assert len(reports) < 8
+
+
+@pytest.mark.parametrize("case", ["record", "no record", "two variables"])
+def test_battery_reports_follow_criterion_order(case):
+    if case == "record":
+        rec = instantiate("E", 6, 1, 2)
+        germ = rec.germ()
+    else:
+        rec = None
+        germ = germ_of("z^2+x^3+y^5") if case == "no record" else germ_of("u^2+v^3", names=("u", "v"))
+    reports, _ = run_battery(germ, record=rec)
+    assert [r.id for r in reports] == list(CRITERION_ORDER)
+    short, _ = run_battery(germ, record=rec, short_circuit=True)
+    ids = [r.id for r in short]
+    assert ids == list(CRITERION_ORDER[:len(ids)])
+    statuses = [r.status for r in short]
+    assert statuses == [r.status for r in reports[:len(ids)]]
+    if FAIL in statuses:
+        assert statuses.index(FAIL) == len(statuses) - 1
+    else:
+        assert len(ids) == len(CRITERION_ORDER)
 
 
 def test_battery_on_user_equation_has_na_group_criteria():
