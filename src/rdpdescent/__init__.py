@@ -12,7 +12,6 @@ from .criteria import (BLOCKED, DESCENDS, FAIL, NOT_APPLICABLE, PASS,
                        run_battery, shape_witness, theta_free,
                        tjurina_p_divisible)
 from .errors import ConsistencyError, EngineLimitError, UsageError
-from .field import PrimeChar
 from .gbasis import (INFINITE, StandardBasis, complete_basis,
                      is_dimension_zero, leading_ideal, normal_form, spoly,
                      standard_monomial_count, s_pairs_reduce_to_zero)
@@ -29,7 +28,7 @@ __all__ = [
     "BLOCKED", "ConsistencyError", "CriterionReport", "DESCENDS",
     "EngineLimitError", "FAIL", "HypersurfaceGerm",
     "IdealPresentation", "INFINITE", "Mono", "NOT_APPLICABLE",
-    "OrderingTag", "ParseError", "PASS", "Polynomial", "PrimeChar", "Ring",
+    "OrderingTag", "ParseError", "PASS", "Polynomial", "Ring",
     "SingularityRecord", "StandardBasis", "UNDECIDED", "UNDETERMINED",
     "UNSTABLE", "UsageError", "Verdict", "aggregate_verdict", "all_records",
     "an_p_power", "bracket_ideal", "complete_basis", "contains",

@@ -28,7 +28,7 @@ from . import catalog
 from .criteria import (BLOCKED, DESCENDS, NOT_APPLICABLE, PASS, UNDECIDED,
                        length_formula, run_battery)
 from .errors import EngineLimitError, UsageError
-from .gbasis import INFINITE
+from .gbasis import DEFAULT_STEP_CAP, INFINITE
 # jacobian_ideal and bracket_ideal are not called here; they stay names of
 # this module because perfbench/spans.py wraps them on every module that
 # hands work to the ideal layer.
@@ -112,9 +112,11 @@ def _recompute_row(rec, step_cap: Optional[int]) -> dict:
 
 
 def cmd_tables(args) -> int:
-    records = [rec for rec in catalog.table_records() if rec.char == args.char]
+    tabled = catalog.table_records()
+    records = [rec for rec in tabled if rec.char == args.char]
     if not records:
-        raise UsageError(f"tables exist for characteristics 2, 3, 5; got {args.char}")
+        chars = ", ".join(str(c) for c in sorted({rec.char for rec in tabled}))
+        raise UsageError(f"tables exist for characteristics {chars}; got {args.char}")
     rows = [rec for rec in records if rec.n <= args.max_n]
     if not rows:
         smallest = min(rec.n for rec in records)
@@ -241,7 +243,8 @@ def _add_common(sub):
     sub.add_argument("--vars", default="x,y,z", help="comma-separated variable names (default x,y,z)")
     sub.add_argument("--json", action="store_true", help="deterministic JSON output")
     sub.add_argument("--step-cap", type=int, default=None,
-                     help="engine reduction work budget, a positive integer (default 10^6 units)")
+                     help=f"engine reduction work budget, a positive integer "
+                          f"(default {DEFAULT_STEP_CAP:,} units)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -122,33 +122,36 @@ def theta_free(germ: HypersurfaceGerm, step_cap: Optional[int] = None) -> Criter
 def invertible_summand(germ: HypersurfaceGerm, step_cap: Optional[int] = None) -> CriterionReport:
     """Search the three variable permutations for one where the two partial
     derivatives of the kept variables, together with f, form a parameter
-    ideal containing the omitted partial derivative."""
+    ideal containing the omitted partial derivative.  PASS if any does;
+    else UNDECIDED if one hit the engine limit, FAIL otherwise."""
     ring = germ.ring
     if ring.nvars != 3:
         return CriterionReport(INVERTIBLE_SUMMAND, NOT_APPLICABLE,
                                {"detail": "stated for surface hypersurfaces in three variables"})
-    if local_length(jacobian_ideal(germ), step_cap) == INFINITE:
+    jac = jacobian_ideal(germ)
+    if local_length(jac, step_cap) == INFINITE:
         return CriterionReport(INVERTIBLE_SUMMAND, NOT_APPLICABLE,
                                {"detail": "singular locus not isolated at the origin"})
-    f = germ.f
-    partials = [f.partial(i) for i in range(3)]
+    *partials, f = jac.gens
     failures = {}
-    try:
-        for w in range(3):
-            kept = [i for i in range(3) if i != w]
-            ideal = IdealPresentation([partials[kept[0]], partials[kept[1]], f], ring)
+    limit = None
+    for w in range(3):
+        kept = [i for i in range(3) if i != w]
+        ideal = IdealPresentation([partials[kept[0]], partials[kept[1]], f], ring)
+        try:
             if not is_parameter_ideal(ideal, step_cap):
                 failures[ring.names[w]] = "not a parameter ideal"
-                continue
-            if not contains(ideal, partials[w], step_cap):
+            elif not contains(ideal, partials[w], step_cap):
                 failures[ring.names[w]] = "omitted partial not a member"
-                continue
-            return CriterionReport(
-                INVERTIBLE_SUMMAND, PASS,
-                {"omitted": ring.names[w], "kept": [ring.names[k] for k in kept],
-                 "parameter_length": local_length(ideal, step_cap)})
-    except EngineLimitError as exc:
-        return CriterionReport(INVERTIBLE_SUMMAND, UNDECIDED, {"detail": str(exc)})
+            else:
+                return CriterionReport(
+                    INVERTIBLE_SUMMAND, PASS,
+                    {"omitted": ring.names[w], "kept": [ring.names[k] for k in kept],
+                     "parameter_length": local_length(ideal, step_cap)})
+        except EngineLimitError as exc:
+            limit = limit or exc
+    if limit is not None:
+        return CriterionReport(INVERTIBLE_SUMMAND, UNDECIDED, {"detail": str(limit)})
     return CriterionReport(INVERTIBLE_SUMMAND, FAIL, {"failures": failures})
 
 

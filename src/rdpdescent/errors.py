@@ -7,7 +7,8 @@ class UsageError(ValueError):
 
 
 class EngineLimitError(RuntimeError):
-    """A configured engine cap (reduction steps, pair queue) was exceeded.
+    """The engine's work budget ran out: the step cap (--step-cap) on
+    reduction steps and S-pairs, weighted by polynomial size.
 
     This is always a resource report, never a wrong answer.
     """

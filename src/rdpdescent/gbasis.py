@@ -70,8 +70,7 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineLimitError, UsageError
-from .field import inv_mod
-from .poly import (Mono, OrderingTag, Polynomial, Ring, mono_deg,
+from .poly import (Mono, OrderingTag, Polynomial, Ring, inv_mod, mono_deg,
                    mono_divides, mono_lcm, mono_mul, mono_quot)
 
 DEFAULT_STEP_CAP = 10 ** 6
@@ -397,16 +396,11 @@ def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
         if not any(mono_divides(g.lm(), lm) for g in kept):
             kept.append(basis[i])
     if is_global:
-        # Tail-reduce to the unique reduced Groebner basis.
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(kept)):
-                others = kept[:i] + kept[i + 1:]
-                r = _reduce(kept[i], others, budget).monic()
-                if r != kept[i]:
-                    kept[i] = r
-                    changed = True
+        # Tail-reduce to the unique reduced Groebner basis.  The basis is
+        # minimal, so no leading monomial changes, and a remainder free of
+        # them stays free when the others are reduced: one pass suffices.
+        for i in range(len(kept)):
+            kept[i] = _reduce(kept[i], kept[:i] + kept[i + 1:], budget).monic()
     kept.sort(key=lambda g: ring.key(g.lm()), reverse=True)
     # The leading ideal is that of the completion, so StandardBasis reads
     # the same corner off it.

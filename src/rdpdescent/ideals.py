@@ -33,10 +33,9 @@ from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import UsageError
-from .field import inv_mod
 from .gbasis import (INFINITE, StandardBasis, complete_basis, normal_form,
                      standard_monomial_count)
-from .poly import Mono, OrderingTag, Polynomial, Ring, mono_deg
+from .poly import Mono, OrderingTag, Polynomial, Ring, inv_mod, mono_deg
 
 
 class _Unstable:

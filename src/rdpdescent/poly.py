@@ -1,5 +1,9 @@
 """Sparse multivariate polynomials over F_p.
 
+The ring owns the characteristic: a prime p with 2 <= p <= 97, checked
+when the Ring is built.  Everything in the catalog lives in p = 2, 3, 5,
+and the cap keeps all coefficient arithmetic in native word size.
+
 Monomials are plain exponent tuples.  A polynomial keeps its terms as a
 tuple of (monomial, coefficient) pairs sorted in strictly decreasing order
 under the ambient ring's monomial ordering, with no zero coefficients;
@@ -22,11 +26,20 @@ import enum
 from typing import Dict, Iterable, Sequence, Tuple
 
 from .errors import UsageError
-from .field import PrimeChar, inv_mod
 
 Mono = Tuple[int, ...]
 
 MAX_EXPONENT = 1 << 16
+
+_PRIMES = frozenset(q for q in range(2, 98) if all(q % d for d in range(2, q)))
+
+
+def inv_mod(value: int, p: int) -> int:
+    """Inverse of a nonzero residue modulo a prime, on raw ints."""
+    value %= p
+    if value == 0:
+        raise ZeroDivisionError(f"0 has no inverse in F_{p}")
+    return pow(value, p - 2, p)
 
 
 class OrderingTag(enum.Enum):
@@ -72,15 +85,15 @@ _NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789"
 
 
 class Ring:
-    """Ambient polynomial ring descriptor: characteristic, variable names,
-    and the monomial ordering."""
+    """Ambient polynomial ring descriptor: the prime characteristic p,
+    variable names, and the monomial ordering."""
 
-    __slots__ = ("char", "names", "ordering", "key")
+    __slots__ = ("p", "names", "ordering", "key")
 
-    def __init__(self, char, names: Sequence[str],
+    def __init__(self, p: int, names: Sequence[str],
                  ordering: OrderingTag = OrderingTag.GLOBAL_DEGREVLEX):
-        if not isinstance(char, PrimeChar):
-            char = PrimeChar(char)
+        if not isinstance(p, int) or p not in _PRIMES:
+            raise UsageError(f"characteristic must be a prime with 2 <= p <= 97, got {p!r}")
         names = tuple(names)
         if not names:
             raise UsageError("a ring needs at least one variable")
@@ -91,14 +104,10 @@ class Ring:
                 raise UsageError(f"bad variable name {nm!r}")
         if not isinstance(ordering, OrderingTag):
             raise UsageError(f"unknown ordering {ordering!r}")
-        self.char = char
+        self.p = p
         self.names = names
         self.ordering = ordering
         self.key = _KEYS[ordering]
-
-    @property
-    def p(self) -> int:
-        return self.char.p
 
     @property
     def nvars(self) -> int:
@@ -107,7 +116,7 @@ class Ring:
     def with_ordering(self, ordering: OrderingTag) -> "Ring":
         if ordering == self.ordering:
             return self
-        return Ring(self.char, self.names, ordering)
+        return Ring(self.p, self.names, ordering)
 
     def zero(self) -> "Polynomial":
         return Polynomial(self, ())
@@ -130,11 +139,11 @@ class Ring:
         return _from_dict(self, terms)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Ring) and self.char == other.char
+        return (isinstance(other, Ring) and self.p == other.p
                 and self.names == other.names and self.ordering == other.ordering)
 
     def __hash__(self) -> int:
-        return hash((self.char, self.names, self.ordering))
+        return hash((self.p, self.names, self.ordering))
 
     def __repr__(self) -> str:
         return f"Ring(p={self.p}, vars={','.join(self.names)}, {self.ordering.value})"
@@ -166,7 +175,7 @@ def _from_dict(ring: Ring, d: Dict[Mono, int]) -> "Polynomial":
 class Polynomial:
     """Immutable sparse polynomial; see module docstring for the invariants.
 
-    Construct through Ring.poly / Ring.var / parse_poly rather than
+    Construct through Ring.poly / Ring.constant / parse_poly rather than
     directly: the term tuple is trusted to be canonical.
     """
 

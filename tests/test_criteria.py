@@ -2,15 +2,16 @@ import itertools
 
 import pytest
 
-from rdpdescent import (ConsistencyError, HypersurfaceGerm, OrderingTag,
-                        Ring, UsageError, aggregate_verdict, an_p_power,
-                        invertible_summand, length_formula, parse_poly,
-                        pi1_trivial, pic_torsion_p_group, run_battery,
-                        shape_witness, theta_free, tjurina_p_divisible)
+from rdpdescent import (ConsistencyError, EngineLimitError, HypersurfaceGerm,
+                        OrderingTag, Ring, UsageError, aggregate_verdict,
+                        an_p_power, criteria, invertible_summand,
+                        length_formula, parse_poly, pi1_trivial,
+                        pic_torsion_p_group, run_battery, shape_witness,
+                        theta_free, tjurina_p_divisible)
 from rdpdescent.catalog import instantiate, table_records
 from rdpdescent.criteria import (BLOCKED, CRITERION_ORDER, DESCENDS, FAIL,
                                  NOT_APPLICABLE, PASS, SHAPE_WITNESS,
-                                 UNDETERMINED, CriterionReport)
+                                 UNDECIDED, UNDETERMINED, CriterionReport)
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
@@ -107,6 +108,39 @@ def test_summand_d4_1_fails():
 def test_summand_d4_0_passes_omitting_z():
     rep = invertible_summand(catalog_germ("D", 4, 0, 2))
     assert rep.status == PASS and rep.witness["omitted"] == "z"
+
+
+def limit_on_first_call(monkeypatch):
+    """Make criteria.is_parameter_ideal raise EngineLimitError on its first
+    call; returns the list of ideals it was called with."""
+    real = criteria.is_parameter_ideal
+    calls = []
+
+    def patched(ideal, step_cap=None):
+        calls.append(ideal)
+        if len(calls) == 1:
+            raise EngineLimitError("engine step cap of 1 exceeded")
+        return real(ideal, step_cap)
+
+    monkeypatch.setattr(criteria, "is_parameter_ideal", patched)
+    return calls
+
+
+def test_summand_limit_does_not_end_the_search(monkeypatch):
+    # The permutation omitting x hits the limit; the one omitting z passes.
+    calls = limit_on_first_call(monkeypatch)
+    rep = invertible_summand(catalog_germ("D", 4, 0, 2))
+    assert rep.status == PASS and rep.witness["omitted"] == "z"
+    assert len(calls) == 3
+
+
+def test_summand_limit_without_pass_is_undecided(monkeypatch):
+    # E_7^1 fails every permutation it can decide; one limit leaves it open.
+    calls = limit_on_first_call(monkeypatch)
+    rep = invertible_summand(catalog_germ("E", 7, 1, 2))
+    assert rep.status == UNDECIDED
+    assert rep.witness == {"detail": "engine step cap of 1 exceeded"}
+    assert len(calls) == 3
 
 
 def test_summand_permutation_invariant():

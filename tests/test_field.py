@@ -1,7 +1,7 @@
 import pytest
 
-from rdpdescent import PrimeChar, Ring, UsageError
-from rdpdescent.field import inv_mod
+from rdpdescent import Ring, UsageError
+from rdpdescent.poly import inv_mod
 
 
 def constants(p):
@@ -12,10 +12,10 @@ def constants(p):
 
 def test_prime_validation():
     for p in (2, 3, 5, 7, 97):
-        assert PrimeChar(p).p == p
+        assert Ring(p, ("x",)).p == p
     for bad in (0, 1, 4, 6, 9, 91, 98, 101, -3):
-        with pytest.raises(UsageError):
-            PrimeChar(bad)
+        with pytest.raises(UsageError, match="characteristic must be a prime"):
+            Ring(bad, ("x",))
 
 
 def test_spec_arithmetic_examples():

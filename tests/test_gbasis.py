@@ -7,7 +7,9 @@ from rdpdescent import (EngineLimitError, INFINITE, OrderingTag, Ring,
                         complete_basis, is_dimension_zero, leading_ideal,
                         normal_form, parse_poly, spoly,
                         s_pairs_reduce_to_zero, standard_monomial_count)
+from rdpdescent.catalog import instantiate
 from rdpdescent.gbasis import _Budget, _reduce
+from rdpdescent.ideals import bracket_ideal, jacobian_ideal
 
 GLOBAL = OrderingTag.GLOBAL_DEGREVLEX
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
@@ -293,6 +295,28 @@ def test_step_cap_raises_engine_limit():
         complete_basis(gens, step_cap=0)
     with pytest.raises(EngineLimitError):
         normal_form(parse_poly("x^2", r), complete_basis(gens), step_cap=0)
+
+
+def e8_1_bracket_p5_local():
+    germ = instantiate("E", 8, 1, 5).germ()
+    return bracket_ideal(jacobian_ideal(germ), germ).local().gens
+
+
+def e7_1_jacobian_p3_global():
+    germ = instantiate("E", 7, 1, 3).germ()
+    ring = germ.ring.with_ordering(GLOBAL)
+    return [ring.poly(dict(g.terms)) for g in jacobian_ideal(germ).gens]
+
+
+@pytest.mark.parametrize("make_gens, need", [(e8_1_bracket_p5_local, 5678),
+                                             (e7_1_jacobian_p3_global, 42)])
+def test_completion_work_is_pinned(make_gens, need):
+    # The exact work of two completions, one per ordering.  A change to pair
+    # selection, reduction or truncation that moves it must say why.
+    gens = make_gens()
+    complete_basis(gens, step_cap=need)
+    with pytest.raises(EngineLimitError):
+        complete_basis(gens, step_cap=need - 1)
 
 
 # -- differential test against sympy --------------------------------------------
