@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from . import catalog
 from .criteria import (BLOCKED, DESCENDS, NOT_APPLICABLE, PASS, UNDECIDED,
-                       length_formula, run_battery)
+                       UNDETERMINED, length_formula, run_battery)
 from .errors import EngineLimitError, UsageError
 from .gbasis import DEFAULT_STEP_CAP, INFINITE
 # jacobian_ideal and bracket_ideal are not called here; they stay names of
@@ -155,17 +155,24 @@ def cmd_classify(args) -> int:
     notes = []
     engine_limited = False
     for rec in records:
-        reports, verdict = run_battery(rec.germ(), record=rec,
-                                       short_circuit=args.short_circuit,
-                                       step_cap=args.step_cap)
-        engine_limited |= any(r.status == UNDECIDED for r in reports)
-        rows.append({
-            "label": rec.label, "equation": rec.equation,
-            "verdict": verdict.outcome,
-            "reasons": [r.id for r in verdict.reasons],
-            "stored_verdict": rec.known_verdict,
-            "match": verdict.outcome == rec.known_verdict,
-        })
+        row = {"label": rec.label, "equation": rec.equation,
+               "stored_verdict": rec.known_verdict}
+        try:
+            reports, verdict = run_battery(rec.germ(), record=rec,
+                                           short_circuit=args.short_circuit,
+                                           step_cap=args.step_cap)
+        except EngineLimitError as exc:
+            # A limit in a criterion the battery cannot do without (TJURINA,
+            # LENGTH_FORMULA) costs this row its verdict, not the run.
+            engine_limited = True
+            row.update(verdict=UNDETERMINED, reasons=[], match=False,
+                       engine_limit=str(exc))
+        else:
+            engine_limited |= any(r.status == UNDECIDED for r in reports)
+            row.update(verdict=verdict.outcome,
+                       reasons=[r.id for r in verdict.reasons],
+                       match=verdict.outcome == rec.known_verdict)
+        rows.append(row)
         if rec.note:
             notes.append({"label": rec.label, "note": rec.note})
     descending = [row["label"] for row in rows if row["verdict"] == DESCENDS]
@@ -177,7 +184,10 @@ def cmd_classify(args) -> int:
     else:
         print(f"classification, characteristic {args.char}, families up to n = {args.max_n}")
         for row in rows:
-            flag = "" if row["match"] else "   <-- disagrees with stored verdict"
+            if "engine_limit" in row:
+                flag = f"   <-- {row['engine_limit']}"
+            else:
+                flag = "" if row["match"] else "   <-- disagrees with stored verdict"
             reasons = f"  [{', '.join(row['reasons'])}]" if row["reasons"] else ""
             print(f"  {row['label']:<8} {row['verdict']:<12}{reasons}{flag}")
         print(f"descending classes: {', '.join(descending) if descending else 'none'}")

@@ -120,6 +120,22 @@ def test_classify_char2_summary(capsys):
     assert payload["notes"] and payload["notes"][0]["label"] == "E_6^0"
 
 
+def test_classify_finishes_under_an_engine_limit(capsys):
+    # A limit in one record's battery marks that row and the run goes on.
+    _, full, _ = run_json(capsys, "classify", "--char", "2", "--max-n", "8")
+    code, payload, err = run_json(capsys, "classify", "--char", "2", "--max-n", "8",
+                                  "--step-cap", "50")
+    assert code == 3
+    assert [json.loads(line) for line in err.splitlines()] == \
+        [{"error": "engine limit during classification"}]
+    assert [row["label"] for row in payload["rows"]] == [row["label"] for row in full["rows"]]
+    limited = [row for row in payload["rows"] if "engine_limit" in row]
+    assert limited and payload["all_match"] is False
+    for row in limited:
+        assert row["verdict"] == "UNDETERMINED" and row["reasons"] == [] and row["match"] is False
+        assert row["engine_limit"].startswith("engine step cap of 50 exceeded")
+
+
 def test_oracle_subcommand(capsys):
     code, payload, _ = run_json(capsys, "oracle", "--char", "2",
                                 "--gens", "x^2,y^4+y^2*z,y^3,z^2+x^3+y^5+y^3*z")

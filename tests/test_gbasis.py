@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -7,6 +8,7 @@ from rdpdescent import (EngineLimitError, INFINITE, OrderingTag, Ring,
                         complete_basis, is_dimension_zero, leading_ideal,
                         normal_form, parse_poly, spoly,
                         s_pairs_reduce_to_zero, standard_monomial_count)
+from rdpdescent import gbasis
 from rdpdescent.catalog import instantiate
 from rdpdescent.gbasis import _Budget, _reduce
 from rdpdescent.ideals import bracket_ideal, jacobian_ideal
@@ -308,15 +310,44 @@ def e7_1_jacobian_p3_global():
     return [ring.poly(dict(g.terms)) for g in jacobian_ideal(germ).gens]
 
 
+def e7_1_bracket_p3_local():
+    # The corner falls three times while 15 queued pairs lie above it.
+    germ = instantiate("E", 7, 1, 3).germ()
+    return bracket_ideal(jacobian_ideal(germ), germ).local().gens
+
+
 @pytest.mark.parametrize("make_gens, need", [(e8_1_bracket_p5_local, 5678),
-                                             (e7_1_jacobian_p3_global, 42)])
+                                             (e7_1_jacobian_p3_global, 42),
+                                             (e7_1_bracket_p3_local, 71)])
 def test_completion_work_is_pinned(make_gens, need):
-    # The exact work of two completions, one per ordering.  A change to pair
-    # selection, reduction or truncation that moves it must say why.
+    # The exact work of three completions, one per ordering and one whose
+    # corner falls below queued pairs, which must cost nothing.  A change to
+    # pair selection, reduction or truncation that moves it must say why.
     gens = make_gens()
     complete_basis(gens, step_cap=need)
     with pytest.raises(EngineLimitError):
         complete_basis(gens, step_cap=need - 1)
+
+
+@pytest.mark.parametrize("make_gens, pairs, digest", [
+    (e8_1_bracket_p5_local, 146, "2f049dbe7bd1bad41e250f0e1a6676dbbbc5a8b7a56ad94c309a2d7d9fc28988"),
+    (e7_1_jacobian_p3_global, 9, "d8f3a470664fd3d04e27cfd37f542651422c9f3449d1215e44270ca4de67cf83"),
+])
+def test_pair_order_is_pinned(monkeypatch, make_gens, pairs, digest):
+    # The leading monomials of every S-pair the completion forms, in order:
+    # the normal strategy with its (j, i) tie-break, and no pair at or above
+    # a corner that fell while it was queued.
+    seen = []
+    real_spoly = gbasis.spoly
+
+    def logged(f, g, corner=None):
+        seen.append((f.lm(), g.lm()))
+        return real_spoly(f, g, corner)
+
+    monkeypatch.setattr(gbasis, "spoly", logged)
+    complete_basis(make_gens())
+    assert len(seen) == pairs
+    assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
 
 
 # -- differential test against sympy --------------------------------------------
