@@ -11,7 +11,9 @@ Subcommands:
                for a generator list, for independent verification.
 
 Exit codes: 0 descends/undetermined with all necessary passes, 1 blocked,
-2 usage error, 3 engine limit.  With --json the output is deterministic
+2 usage error, 3 engine limit, 141 standard output closed before the
+report was written (a reader such as `head` stopped early; 141 is what a
+shell reports for a writer stopped by SIGPIPE).  With --json the output is deterministic
 (stable key order, no wall-clock content), so identical inputs produce
 byte-identical reports; timings are printed only in text mode.
 """
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -42,6 +45,7 @@ EXIT_OK = 0
 EXIT_BLOCKED = 1
 EXIT_USAGE = 2
 EXIT_ENGINE_LIMIT = 3
+EXIT_OUTPUT_CLOSED = 141
 
 
 def _ring(char: int, varnames: str) -> Ring:
@@ -248,6 +252,18 @@ def _stderr_note(payload: dict):
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _drop_stdout():
+    """Point a closed standard output at /dev/null, so that the flush at
+    interpreter exit does not fail again on what is still buffered."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # not a file descriptor, e.g. a capturing stream
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def _add_common(sub):
     sub.add_argument("--char", type=int, required=True, help="prime characteristic")
     sub.add_argument("--vars", default="x,y,z", help="comma-separated variable names (default x,y,z)")
@@ -296,6 +312,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a reader that has gone shows here, not at exit
+    except BrokenPipeError:
+        _drop_stdout()
+        _stderr_note({"error": "output closed",
+                      "message": "standard output was closed before the report was complete"})
+        return EXIT_OUTPUT_CLOSED
+    return code
+
+
+def _run(argv: Optional[List[str]]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

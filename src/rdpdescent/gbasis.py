@@ -156,7 +156,7 @@ def _truncate(f: Polynomial, bound: Optional[int]) -> Polynomial:
     k = len(terms)
     while k and mono_deg(terms[k - 1][0]) >= bound:
         k -= 1
-    return f if k == len(terms) else Polynomial(f.ring, terms[:k])
+    return f if k == len(terms) else Polynomial(f.ring, terms[:k], f.keys[:k])
 
 
 def _below(corner: Optional[int], m: Mono) -> Optional[int]:
@@ -202,6 +202,7 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
     reducers: List[Tuple[Polynomial, int, object]] = [(g, g.ecart(), i) for i, g in enumerate(gens)]
     h = _truncate(f, corner)
     remainder: List[Tuple[Mono, int]] = []
+    remainder_keys: List[int] = []
     if trace:
         u, quots = ring.one(), [ring.zero()] * len(gens)
     while not h.is_zero:
@@ -216,6 +217,7 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
             if not is_global:
                 break
             remainder.append(h.terms[0])
+            remainder_keys.append(h.keys[0])
             h = h.tail()
             continue
         g, ec, cert = best
@@ -231,7 +233,7 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
             else:
                 u = u - cert[0].term_mul(c, mult)
                 quots = [q - gq.term_mul(c, mult) for q, gq in zip(quots, cert[1])]
-    nf = Polynomial(ring, tuple(remainder)) if is_global else h
+    nf = Polynomial(ring, tuple(remainder), remainder_keys) if is_global else h
     return (nf, u, quots) if trace else nf
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
+import pytest
 
-from rdpdescent.cli import main
+import rdpdescent
+from rdpdescent.cli import EXIT_OUTPUT_CLOSED, main
 
 
 def run(capsys, *argv):
@@ -203,3 +208,29 @@ def test_nonpositive_step_cap_is_a_usage_error(capsys):
         assert out == "", cap
         note = json.loads(err.splitlines()[0])
         assert note["error"] == "usage error" and "--step-cap" in note["message"], cap
+
+
+def test_closed_stdout_ends_with_a_note_and_no_traceback():
+    # The reader takes one line and closes the pipe, as `| head -1` does.
+    # The pipe holds one page, less than the report, so the writer is
+    # still writing when the pipe closes.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("sizing a pipe needs Linux")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rdpdescent.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rdpdescent.cli", "classify", "--char", "2", "--max-n", "30"],
+        stdout=write_end, stderr=subprocess.PIPE, env=env)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as out:
+        assert out.readline().startswith(b"classification, characteristic 2")
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_OUTPUT_CLOSED == 141
+    assert b"Traceback" not in err
+    lines = err.decode().splitlines()
+    assert len(lines) == 1, lines
+    assert json.loads(lines[0])["error"] == "output closed"
