@@ -151,7 +151,7 @@ def _an_record(n: int, char: int) -> SingularityRecord:
     descends = _is_prime_power_of(n + 1, char)
     return SingularityRecord(
         dynkin="A", n=n, r=None, char=char, equation=equation,
-        pi1=None, pic_order=n + 1,
+        pi1=None, pic_order=pic_order_for("A", n),
         ref_len_j=None, ref_len_jp=None, ref_theta_free=None,
         known_verdict="DESCENDS" if descends else "BLOCKED",
         citation=("descends: n+1 is a p-power (q-th power shape)" if descends
@@ -174,14 +174,9 @@ def _dn_record(n: int, r: Optional[int], char: int) -> SingularityRecord:
     if char == 2:
         if r is None or not 0 <= r <= m - 1:
             raise UsageError(f"D_{n}^r in characteristic 2 needs 0 <= r <= {m - 1}, got {r}")
-        if n % 2 == 0:
-            equation = f"z^2+x^2*y+x*y^{m}"
-            if r > 0:
-                equation += f"+x*y^{m - r}*z" if m - r > 1 else "+x*y*z"
-        else:
-            equation = f"z^2+x^2*y+y^{m}*z"
-            if r > 0:
-                equation += f"+x*y^{m - r}*z" if m - r > 1 else "+x*y*z"
+        equation = f"z^2+x^2*y+x*y^{m}" if n % 2 == 0 else f"z^2+x^2*y+y^{m}*z"
+        if r > 0:
+            equation += f"+x*y^{m - r}*z" if m - r > 1 else "+x*y*z"
         verdict = "DESCENDS" if r == 0 else "BLOCKED"
         citation = ("descends: the D_n^0 classes descend (q-th power shape for even n, "
                     "explicit coordinate change for odd n)" if r == 0
@@ -194,7 +189,7 @@ def _dn_record(n: int, r: Optional[int], char: int) -> SingularityRecord:
         citation = "blocked: class group torsion of order 4 is not a p-group for p >= 3"
     return SingularityRecord(
         dynkin="D", n=n, r=r, char=char, equation=equation,
-        pi1=None, pic_order=4,
+        pi1=None, pic_order=pic_order_for("D", n),
         ref_len_j=None, ref_len_jp=None, ref_theta_free=None,
         known_verdict=verdict, citation=citation,
     )

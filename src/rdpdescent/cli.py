@@ -311,6 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: each parser costs a millisecond and leaves cyclic garbage.
+_PARSER = build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         code = _run(argv)
@@ -324,9 +328,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 def _run(argv: Optional[List[str]]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

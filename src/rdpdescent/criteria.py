@@ -149,9 +149,10 @@ def invertible_summand(germ: HypersurfaceGerm, step_cap: Optional[int] = None) -
                     {"omitted": ring.names[w], "kept": [ring.names[k] for k in kept],
                      "parameter_length": local_length(ideal, step_cap)})
         except EngineLimitError as exc:
-            limit = limit or exc
+            # The message, not the exception: its traceback holds this frame.
+            limit = limit or str(exc)
     if limit is not None:
-        return CriterionReport(INVERTIBLE_SUMMAND, UNDECIDED, {"detail": str(limit)})
+        return CriterionReport(INVERTIBLE_SUMMAND, UNDECIDED, {"detail": limit})
     return CriterionReport(INVERTIBLE_SUMMAND, FAIL, {"failures": failures})
 
 

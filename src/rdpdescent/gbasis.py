@@ -261,8 +261,7 @@ def _prepare(gens: Sequence[Polynomial]) -> List[Polynomial]:
             continue
         seen.add(g.terms)
         out.append(g)
-    ring = gens[0].ring
-    out.sort(key=lambda g: ring.key(g.lm()), reverse=True)
+    out.sort(key=lambda g: g.keys[0], reverse=True)
     return out
 
 
@@ -403,7 +402,7 @@ def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
                 is_global: bool) -> StandardBasis:
     # Drop elements whose leading monomial is divisible by another's; the
     # remaining leading terms still generate the leading ideal.
-    order = sorted(range(len(basis)), key=lambda i: (mono_deg(basis[i].lm()), ring.key(basis[i].lm())))
+    order = sorted(range(len(basis)), key=lambda i: (mono_deg(basis[i].lm()), basis[i].keys[0]))
     kept: List[Polynomial] = []
     for i in order:
         lm = basis[i].lm()
@@ -415,7 +414,7 @@ def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
         # them stays free when the others are reduced: one pass suffices.
         for i in range(len(kept)):
             kept[i] = _reduce(kept[i], kept[:i] + kept[i + 1:], budget).monic()
-    kept.sort(key=lambda g: ring.key(g.lm()), reverse=True)
+    kept.sort(key=lambda g: g.keys[0], reverse=True)
     # The leading ideal is that of the completion, so StandardBasis reads
     # the same corner off it.
     return StandardBasis(tuple(kept), ring)

@@ -28,6 +28,7 @@ every variable is visible inside the row space before it reports a value.
 
 from __future__ import annotations
 
+import math
 from heapq import heapify, heappop, heappush
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -181,12 +182,8 @@ def _local_basis(ideal: IdealPresentation, step_cap: Optional[int]) -> StandardB
 
 
 def local_length(ideal: IdealPresentation, step_cap: Optional[int] = None):
-    """Length of (local ring at the origin)/I: 0 if a unit lies in I,
-    INFINITE if the quotient has positive dimension at the origin."""
-    if any(g.constant_coeff() != 0 for g in ideal.gens):
-        return 0
-    if all(g.is_zero for g in ideal.gens):
-        return INFINITE
+    """Length of (local ring at the origin)/I, counted on its standard basis:
+    0 if a unit lies in I, INFINITE if the quotient has positive dimension."""
     return standard_monomial_count(_local_basis(ideal, step_cap))
 
 
@@ -334,11 +331,6 @@ class _OracleRun:
         """lambda_d = dim R/(I + m^d)."""
         return self.ncols_below[d] - self.pivots_below[d]
 
-    def poly_row(self, g: Polynomial) -> Dict[int, int]:
-        """g truncated below the working degree."""
-        index = self.index
-        return {index[mono]: c for mono, c in g.terms if mono in index}
-
     def pure_power_in_span(self, var: int, through: int) -> bool:
         n = len(self.cols[0])
         for e in range(1, through + 1):
@@ -364,35 +356,26 @@ class _OracleRun:
         return None
 
 
-def _oracle_run(ideal: IdealPresentation, degree_cap: int) -> Tuple[object, Optional[_OracleRun], Optional[int]]:
+def _oracle_run(ideal: IdealPresentation, degree_cap: int) -> Tuple[object, Optional[_OracleRun]]:
     gens = [g for g in ideal.gens if not g.is_zero]
     if any(g.constant_coeff() != 0 for g in gens):
-        return 0, None, None
+        return 0, None
     if not gens:
-        return UNSTABLE, None, None
+        return UNSTABLE, None
     if degree_cap < 3:
         raise UsageError("degree cap must be at least 3")
     n = gens[0].ring.nvars
     workdeg = min(degree_cap, max(6, max(g.degree() for g in gens) + 2))
     while True:
-        if _ncolumns(n, workdeg) > _MAX_COLUMNS:
-            return UNSTABLE, None, None
+        if math.comb(workdeg - 1 + n, n) > _MAX_COLUMNS:  # monomials of degree < workdeg
+            return UNSTABLE, None
         run = _OracleRun(gens, workdeg)
         d = run.stabilized_at()
         if d is not None:
-            return run.quotient_dim(d), run, d
+            return run.quotient_dim(d), run
         if workdeg >= degree_cap:
-            return UNSTABLE, None, None
+            return UNSTABLE, None
         workdeg = min(degree_cap, max(workdeg + 2, (workdeg * 3) // 2))
-
-
-def _ncolumns(n: int, workdeg: int) -> int:
-    # C(workdeg - 1 + n, n) monomials of degree < workdeg
-    num, den = 1, 1
-    for i in range(n):
-        num *= workdeg + i
-        den *= i + 1
-    return num // den
 
 
 def truncation_length_oracle(ideal: IdealPresentation, degree_cap: int = DEFAULT_DEGREE_CAP):
@@ -402,7 +385,7 @@ def truncation_length_oracle(ideal: IdealPresentation, degree_cap: int = DEFAULT
     reached within the degree cap (in particular whenever the quotient has
     positive dimension at the origin).
     """
-    value, _, _ = _oracle_run(ideal, degree_cap)
+    value, _ = _oracle_run(ideal, degree_cap)
     return value
 
 
@@ -411,7 +394,7 @@ def truncation_contains(ideal: IdealPresentation, g: Polynomial,
     """Oracle-side membership in the localized ideal: valid because after
     stabilization m^d is known to lie inside it.  Returns True/False, or
     UNSTABLE when the oracle could not certify a length."""
-    value, run, _ = _oracle_run(ideal, degree_cap)
+    value, run = _oracle_run(ideal, degree_cap)
     if run is None:
         if value == 0:
             return True  # the ideal contains a unit
@@ -420,4 +403,4 @@ def truncation_contains(ideal: IdealPresentation, g: Polynomial,
         return True
     # Truncating g below the working degree is sound: past stabilization,
     # every monomial of degree >= workdeg lies in the extended ideal.
-    return run.ech.member(run.poly_row(g))
+    return run.ech.member(run._row(g, (0,) * g.ring.nvars))

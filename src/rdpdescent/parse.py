@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from .errors import UsageError
-from .poly import MAX_EXPONENT, Mono, Polynomial, Ring, _from_dict, mono_mul
+from .poly import MAX_EXPONENT, Mono, Polynomial, Ring, product_terms
 
 #: Deepest accepted nesting of parenthesised groups.
 MAX_DEPTH = 100
@@ -57,11 +57,6 @@ class _Parser:
     def _peek(self) -> str:
         self._skip_ws()
         return self.src[self.pos] if self.pos < self.n else ""
-
-    def _expect(self, ch: str):
-        if self._peek() != ch:
-            raise ParseError(self.pos, f"expected {ch!r}")
-        self.pos += 1
 
     def _digits(self) -> str:
         self._skip_ws()
@@ -109,13 +104,7 @@ class _Parser:
         self.work += len(a) * len(b)
         if self.work > MAX_PRODUCT_WORK:
             raise ParseError(at, f"expansion too large: products exceed {MAX_PRODUCT_WORK} term pairs")
-        p = self.ring.p
-        prod: Dict[Mono, int] = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = mono_mul(ma, mb)
-                prod[m] = (prod.get(m, 0) + ca * cb) % p
-        return prod
+        return product_terms(a.items(), b.items(), self.ring.p)
 
     def term(self) -> Dict[Mono, int]:
         acc = self.factor()
@@ -201,4 +190,4 @@ def parse_poly(src: str, ring: Ring) -> Polynomial:
     parser._skip_ws()
     if parser.pos != parser.n:
         raise ParseError(parser.pos, f"unexpected trailing input {src[parser.pos:]!r}")
-    return _from_dict(ring, acc)
+    return ring.poly(acc)

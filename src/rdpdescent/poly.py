@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import enum
 from operator import add, mul
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import UsageError
 
@@ -95,6 +95,17 @@ def mono_quot(a: Mono, b: Mono) -> Mono:
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
     return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def product_terms(a: Iterable[Tuple[Mono, int]], b: Collection[Tuple[Mono, int]],
+                  p: int) -> Dict[Mono, int]:
+    """The product of two term lists as {monomial: residue mod p}, zeros kept."""
+    acc: Dict[Mono, int] = {}
+    for ma, ca in a:
+        for mb, cb in b:
+            m = mono_mul(ma, mb)
+            acc[m] = (acc.get(m, 0) + ca * cb) % p
+    return acc
 
 
 def _key_weights(n: int, ordering: OrderingTag) -> Tuple[int, ...]:
@@ -150,7 +161,7 @@ class Ring:
         return Ring(self.p, self.names, ordering)
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, ())
+        return Polynomial(self, (), [])
 
     def one(self) -> "Polynomial":
         return self.constant(1)
@@ -159,14 +170,11 @@ class Ring:
         c %= self.p
         if c == 0:
             return self.zero()
-        return Polynomial(self, (((0,) * self.nvars, c),))
+        return Polynomial(self, (((0,) * self.nvars, c),), [0])  # key(1) = 0
 
-    def poly(self, terms: Dict[Mono, int] | Iterable[Tuple[Mono, int]]) -> "Polynomial":
+    def poly(self, terms: Dict[Mono, int]) -> "Polynomial":
         if not isinstance(terms, dict):
-            acc: Dict[Mono, int] = {}
-            for m, c in terms:
-                acc[m] = acc.get(m, 0) + c
-            terms = acc
+            raise UsageError(f"Ring.poly takes a {{monomial: coefficient}} dict, got {type(terms).__name__}")
         return _from_dict(self, terms)
 
     def __eq__(self, other) -> bool:
@@ -208,17 +216,16 @@ class Polynomial:
     """Immutable sparse polynomial; see module docstring for the invariants.
 
     Construct through Ring.poly / Ring.constant / parse_poly rather than
-    directly: the term tuple is trusted to be canonical, and so are the
-    keys when given (keys[i] is ring.key(terms[i][0])).
+    directly: the term tuple is trusted to be canonical, and the keys,
+    which are always given, to match it (keys[i] is ring.key(terms[i][0])).
     """
 
     __slots__ = ("ring", "terms", "keys")
 
-    def __init__(self, ring: Ring, terms: Tuple[Tuple[Mono, int], ...],
-                 keys: Optional[List[int]] = None):
+    def __init__(self, ring: Ring, terms: Tuple[Tuple[Mono, int], ...], keys: List[int]):
         self.ring = ring
         self.terms = terms
-        self.keys = [ring.key(m) for m, _ in terms] if keys is None else keys
+        self.keys = keys
 
     # -- basic queries ----------------------------------------------------
 
@@ -358,12 +365,7 @@ class Polynomial:
         if len(other.terms) == 1:
             m, c = other.terms[0]
             return self.term_mul(c, m)
-        acc: Dict[Mono, int] = {}
-        for ma, ca in self.terms:
-            for mb, cb in other.terms:
-                m = mono_mul(ma, mb)
-                acc[m] = acc.get(m, 0) + ca * cb
-        return _from_dict(self.ring, acc)
+        return _from_dict(self.ring, product_terms(self.terms, other.terms, self.ring.p))
 
     __rmul__ = __mul__
 

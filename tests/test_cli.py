@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -208,6 +209,20 @@ def test_nonpositive_step_cap_is_a_usage_error(capsys):
         assert out == "", cap
         note = json.loads(err.splitlines()[0])
         assert note["error"] == "usage error" and "--step-cap" in note["message"], cap
+
+
+def test_main_builds_no_parser_per_call(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for _ in range(2):
+        assert run(capsys, "oracle", "--char", "3", "--gens", "x+1,y", "--json")[0] == 0
+    assert built == []
 
 
 def test_closed_stdout_ends_with_a_note_and_no_traceback():

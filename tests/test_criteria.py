@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -141,6 +142,24 @@ def test_summand_limit_without_pass_is_undecided(monkeypatch):
     assert rep.status == UNDECIDED
     assert rep.witness == {"detail": "engine step cap of 1 exceeded"}
     assert len(calls) == 3
+
+
+def test_summand_limit_leaves_no_cyclic_garbage(monkeypatch):
+    # Keeping the exception would keep its traceback, whose frames hold it.
+    def limited(ideal, step_cap=None):
+        raise EngineLimitError("engine step cap of 1 exceeded")
+
+    monkeypatch.setattr(criteria, "is_parameter_ideal", limited)
+    germ = catalog_germ("E", 7, 1, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        rep = invertible_summand(germ)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert rep.witness == {"detail": "engine step cap of 1 exceeded"}
+    assert garbage == 0
 
 
 def test_summand_permutation_invariant():

@@ -381,7 +381,7 @@ def test_oracle_quotient_dims_match_a_dense_rank():
 def test_oracle_membership_truncates_above_the_working_degree():
     I = ideal_of(["x^2", "y^3"], 5, ("x", "y"))
     r = I.ring
-    _, run, _ = _oracle_run(I, 64)
+    _, run = _oracle_run(I, 64)
     top = run.workdeg
     at, above = f"y^{top}", f"x*y^{top + 3}+3*x^{top + 1}"
     assert truncation_contains(I, parse_poly(at, r)) is True
@@ -397,7 +397,7 @@ def test_oracle_membership_matches_the_engine_with_high_terms():
         ring = lring(p, ("x", "y"))
         gens = [random_local_poly(rng, ring, 3, 4) for _ in range(3)]
         I = IdealPresentation(gens, ring)
-        _, run, _ = _oracle_run(I, 24)
+        _, run = _oracle_run(I, 24)
         if run is None:
             continue
         top = run.workdeg

@@ -221,6 +221,12 @@ def test_render_goldens():
     assert render(parse_poly("x", r5)) == "x"
 
 
+def test_ring_poly_takes_only_a_dict():
+    r = ring2()
+    with pytest.raises(UsageError, match="dict"):
+        r.poly([((1, 0, 0), 1), ((0, 1, 0), 1)])
+
+
 def test_exponent_overflow_detected():
     r = Ring(2, ("x",), GLOBAL)
     f = r.poly({(MAX_EXPONENT - 1,): 1})
