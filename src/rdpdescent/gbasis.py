@@ -55,11 +55,45 @@ origin, or not yet known to be).
 
 The coprimality criterion is applied only under the global ordering.  Its
 classical proof breaks for non-well-orderings (a tail monomial may be a
-multiple of the leading one), pair queues at this problem scale are short
-(the longest among the tabled ideals, that of E_8^1 J^[p] at p = 5, peaks
-at 172 waiting pairs), and a wrong basis would be much worse than a few
-redundant reductions.
-The chain criterion is omitted for the same reason.
+multiple of the leading one), and a wrong basis would be much worse than a
+few redundant reductions.
+
+Chain criterion.  Under both orderings the completion drops pairs by the
+Gebauer-Moeller update (On an installation of Buchberger's algorithm, JSC
+1988) when element k joins the basis: (B) every queued pair (i, j) with
+LM(k) | lcm(i, j) and lcm(i, k) != lcm(i, j) != lcm(j, k); (M) every new
+pair (i, k) whose lcm is a proper multiple of another new pair's; (F) all
+but one new pair per lcm.  Each rule is an identity among the syzygies
+s_ij = (lcm(i, j)/LT(g_i)) e_i - (lcm(i, j)/LT(g_j)) e_j of the leading
+terms, which involves divisibility and no ordering: under B, s_ij is a
+combination of monomial multiples of s_ik and s_jk, whose lcms properly
+divide lcm(i, j); under M, the dropped s_ik is one of s_jk, whose lcm
+properly divides lcm(i, k), and of s_ij, whose lcm divides it and whose
+larger index is below k; under F, the dropped s_jk is one of the kept
+s_ik and of s_ij, whose lcm divides lcm(i, k).  By induction over the lcm,
+ordered by divisibility, and then the larger index, the pairs that are
+reduced, or skipped as coprime or at the corner, have syzygies that
+generate those of all pairs, and so all syzygies of the leading terms.
+
+That this suffices is Buchberger's criterion in its syzygy form: if every
+pair of such a generating set has an S-polynomial with a standard
+representation, the set is a standard basis (Greuel-Pfister ch. 2 prove
+it for weak normal forms under any monomial ordering).  Modulo m^D it also
+has a direct proof.  In O/m^D every element is a combination of the
+finitely many monomials of degree < D, which the local ordering
+well-orders, and an element with a nonzero constant term is a unit.  A
+Mora normal form 0 of s gives u*s = sum q_i g_i there, with u a unit and
+LM(q_i g_i) <= LM(s), hence the standard representation
+s = sum u^-1 q_i g_i.  Write an f of I*O as sum a_i g_i modulo m^D with the
+largest LM(a_i g_i) =: t as small as possible.  If t > LM(f), the terms at
+t cancel: a syzygy of the leading terms of degree t < D.  Written through
+the generating syzygies, each of whose lcms divides t, and with their
+standard representations substituted, it gives a representation of f with
+a smaller largest term.  So LM(f) = t lies in the leading ideal, and S
+with the degree-D monomials is a standard basis of I*O + m^D = I*O.  Only
+lcms of degree < D occur, which is again why the pairs at or above the
+corner are never needed; and a pair reduced to zero under an earlier,
+higher corner has a standard representation modulo the lower one too.
 
 All loops charge a shared step budget; exceeding it raises
 EngineLimitError, never a wrong answer.
@@ -70,7 +104,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import EngineLimitError, UsageError
 from .poly import (Mono, OrderingTag, Polynomial, Ring, inv_mod, mono_deg,
@@ -177,7 +211,8 @@ def spoly(f: Polynomial, g: Polynomial, corner: Optional[int] = None) -> Polynom
 
 
 def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
-            corner: Optional[int] = None, trace: bool = False):
+            corner: Optional[int] = None, trace: bool = False,
+            ecarts: Optional[Sequence[int]] = None):
     """Normal form of f against gens: the one reduction loop of the engine.
 
     Each step cancels the leading term of the working polynomial h against
@@ -188,7 +223,8 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
     global ordering every ecart is 0, so the rule picks the first divisor
     and nothing joins; an irreducible leading term moves to the remainder,
     which makes the result fully reduced.  With a corner D, f and every
-    reducer multiple are kept free of terms of degree >= D.
+    reducer multiple are kept free of terms of degree >= D.  A caller that
+    reduces against the same gens many times passes their local ecarts.
 
     With trace, returns (nf, u, quots) with u*f = sum(quots[i]*gens[i]) + nf
     up to terms of degree >= corner, where u has a nonzero constant term
@@ -199,7 +235,11 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
     # (reducer, its ecart, its certificate): the index of a generator, or
     # (u, quots) with reducer = u*f - sum quots[i]*gens[i] for a joined h.
-    reducers: List[Tuple[Polynomial, int, object]] = [(g, g.ecart(), i) for i, g in enumerate(gens)]
+    if is_global:
+        ecarts = itertools.repeat(0)
+    elif ecarts is None:
+        ecarts = [g.ecart() for g in gens]
+    reducers: List[Tuple[Polynomial, int, object]] = list(zip(gens, ecarts, itertools.count()))
     h = _truncate(f, corner)
     remainder: List[Tuple[Mono, int]] = []
     remainder_keys: List[int] = []
@@ -221,8 +261,10 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
             h = h.tail()
             continue
         g, ec, cert = best
-        if ec and ec > h.ecart():
-            reducers.append((h, h.ecart(), (u, tuple(quots)) if trace else None))
+        if ec:
+            eh = h.ecart()
+            if ec > eh:
+                reducers.append((h, eh, (u, tuple(quots)) if trace else None))
         budget.step(h, g)
         c = (h.lc() * inv_mod(g.lc(), p)) % p
         mult = mono_quot(lm, g.lm())
@@ -343,6 +385,9 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     the lcm degree, pairs at or above the new corner are the last in the
     queue.  The first one popped therefore ends the completion, and it
     costs no work, as if the pairs had been dropped when the corner fell.
+    The Gebauer-Moeller update (module docstring) runs as each element
+    joins: the new pairs it drops are never queued, and the queued pairs
+    it kills stay on the heap, marked dead, and cost nothing when popped.
     """
     gens = list(gens)
     if not gens:
@@ -357,43 +402,91 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     if not basis:
         return StandardBasis((), ring)
 
-    corner = None if is_global else _corner_degree([g.lm() for g in basis])
-    if corner is not None:
-        basis[:] = [_cut_at(g, corner) for g in basis]
+    # The leading monomials, which `_cut_at` keeps, and the local ecarts.
+    lms = [g.lm() for g in basis]
+    ecarts = None if is_global else [g.ecart() for g in basis]
+    corner = None
+    # Variables with no pure power among the leading monomials: until there
+    # are none, there is no corner and no staircase to sweep.
+    unpowered = set() if is_global else set(range(ring.nvars))
+
+    def lower_corner(new):
+        """Take in the new leading monomials (local ordering); when the
+        corner falls, cut the basis at it."""
+        nonlocal corner
+        for m in new:
+            support = [v for v, e in enumerate(m) if e]
+            if len(support) <= 1:
+                unpowered.difference_update(support or range(ring.nvars))
+        if unpowered:
+            return
+        lowered = _corner_degree(lms)
+        if corner is None or lowered < corner:
+            corner = lowered
+            basis[:] = [_cut_at(g, corner) for g in basis]
+            ecarts[:] = [g.ecart() for g in basis]
+
+    if not is_global:
+        lower_corner(lms)
 
     # (deg lcm, key of lcm, j, i, lcm) for the pair (i, j), i < j
-    queue: List[Tuple[int, tuple, int, int, Mono]] = []
+    queue: List[Tuple[int, int, int, int, Mono]] = []
+    live: Dict[Tuple[int, int], Mono] = {}  # the queued pairs not yet popped or killed
 
-    def queue_pairs(j):
-        lmj = basis[j].lm()
-        for i in range(j):
-            lcm = mono_lcm(basis[i].lm(), lmj)
+    def insert(k):
+        """Queue the pairs of basis[k] with the earlier elements, and kill the
+        queued pairs it makes redundant (Gebauer-Moeller; module docstring)."""
+        lmk = lms[k]
+        lcms = [mono_lcm(m, lmk) for m in lms[:k]]
+        # B: (i, j) is a chain through k when LM(k) | lcm(i, j) and both
+        # lcm(i, k) and lcm(j, k) are proper divisors of lcm(i, j).
+        for (i, j), lcm in list(live.items()):
+            if lcms[i] != lcm and lcms[j] != lcm and mono_divides(lmk, lcm):
+                del live[(i, j)]
+        # F: one new pair per lcm, a coprime one if there is one (the
+        # product criterion then skips it), else the first.
+        kept = {}
+        for i, lcm in enumerate(lcms):
+            if lcm not in kept or (is_global and lcm == mono_mul(lms[i], lmk)):
+                kept[lcm] = i
+        # M: no new pair whose lcm is a proper multiple of another's.  By
+        # increasing degree, it suffices to test the lcms kept so far.
+        minimal: List[Mono] = []
+        for lcm in sorted(kept, key=mono_deg):
             d = mono_deg(lcm)
-            if corner is None or d < corner:
-                heapq.heappush(queue, (d, ring.key(lcm), j, i, lcm))
+            if corner is not None and d >= corner:
+                break
+            if any(mono_divides(m, lcm) for m in minimal):
+                continue
+            minimal.append(lcm)
+            i = kept[lcm]
+            live[(i, k)] = lcm
+            heapq.heappush(queue, (d, ring.key(lcm), k, i, lcm))
 
-    for j in range(1, len(basis)):
-        queue_pairs(j)
+    for k in range(1, len(basis)):
+        insert(k)
 
     while queue:
         d, _, j, i, lcm = heapq.heappop(queue)
         if corner is not None and d >= corner:
             break  # queued before the corner fell, and so is everything left
+        if live.pop((i, j), None) is None:
+            continue  # killed by a later element: costs nothing
         budget.spend()
-        if is_global and lcm == mono_mul(basis[i].lm(), basis[j].lm()):
+        if is_global and lcm == mono_mul(lms[i], lms[j]):
             continue  # coprime leading monomials: S-pair reduces to zero
         s = spoly(basis[i], basis[j], corner)
-        h = _reduce(s, basis, budget, corner)
+        h = _reduce(s, basis, budget, corner, ecarts=ecarts)
         if h.is_zero:
             continue
-        basis.append(h.monic())
+        h = h.monic()
+        basis.append(h)
+        lms.append(h.lm())
         if not is_global:
             # h is truncated, so its leading monomial has degree < corner
-            lowered = _corner_degree([g.lm() for g in basis])
-            if lowered is not None and (corner is None or lowered < corner):
-                corner = lowered
-                basis[:] = [_cut_at(g, corner) for g in basis]
-        queue_pairs(len(basis) - 1)
+            ecarts.append(h.ecart())
+            lower_corner([lms[-1]])
+        insert(len(basis) - 1)
 
     return _minimalize(basis, ring, budget, is_global)
 
@@ -431,10 +524,13 @@ def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None)
     basis, and those monomials add nothing to the leading ideal.
     """
     gens = basis.gens
-    corner = (None if basis.ordering == OrderingTag.GLOBAL_DEGREVLEX
-              else _corner_degree(basis.leading_monomials()))
+    corner = ecarts = None
+    if basis.ordering != OrderingTag.GLOBAL_DEGREVLEX:
+        corner = _corner_degree(basis.leading_monomials())
+        ecarts = [g.ecart() for g in gens]
     for i, j in itertools.combinations(range(len(gens)), 2):
-        if not _reduce(spoly(gens[i], gens[j]), gens, _Budget(step_cap), corner).is_zero:
+        if not _reduce(spoly(gens[i], gens[j]), gens, _Budget(step_cap), corner,
+                       ecarts=ecarts).is_zero:
             return False
     return True
 

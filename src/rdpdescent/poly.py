@@ -51,7 +51,7 @@ which a key does not expose.
 from __future__ import annotations
 
 import enum
-from operator import add, mul
+from operator import add, le, mul, sub
 from typing import Collection, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import UsageError
@@ -85,16 +85,16 @@ def mono_mul(a: Mono, b: Mono) -> Mono:
 
 
 def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_quot(a: Mono, b: Mono) -> Mono:
     """a / b, assuming b divides a."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def product_terms(a: Iterable[Tuple[Mono, int]], b: Collection[Tuple[Mono, int]],
