@@ -266,11 +266,14 @@ def _drop_stdout():
 
 def _add_common(sub):
     sub.add_argument("--char", type=int, required=True, help="prime characteristic")
-    sub.add_argument("--vars", default="x,y,z", help="comma-separated variable names (default x,y,z)")
     sub.add_argument("--json", action="store_true", help="deterministic JSON output")
     sub.add_argument("--step-cap", type=int, default=None,
                      help=f"engine reduction work budget, a positive integer "
                           f"(default {DEFAULT_STEP_CAP:,} units)")
+
+
+def _add_vars(sub):
+    sub.add_argument("--vars", default="x,y,z", help="comma-separated variable names (default x,y,z)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -281,6 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = subs.add_parser("analyze", help="run the criterion battery on one equation")
     _add_common(p_analyze)
+    _add_vars(p_analyze)
     p_analyze.add_argument("--poly", required=True, help="equation in the expression grammar")
     p_analyze.add_argument("--short-circuit", action="store_true",
                            help="stop at the first failing criterion")
@@ -302,6 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = subs.add_parser("oracle", help="engine length vs truncation-oracle length")
     _add_common(p_oracle)
+    _add_vars(p_oracle)
     p_oracle.add_argument("--gens", required=True,
                           help="comma-separated generator list in the expression grammar")
     p_oracle.add_argument("--degree-cap", type=int, default=DEFAULT_DEGREE_CAP,

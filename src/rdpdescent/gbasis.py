@@ -43,10 +43,11 @@ degree >= D is replaced by that monomial.  An S-pair whose lcm has degree
 of (lcm/LM(g))*g, and of the S-polynomial, has degree >= deg(lcm) >= D,
 and the S-polynomial reduces to zero by the monomial generators alone.
 Pairs with a monomial generator vanish for the same reason.  D only falls
-as the leading ideal grows, so it is recomputed only when a new leading
-monomial of degree < D appears.  A `StandardBasis` reads its `corner`
-off its own leading monomials (for a completed basis, the last D of the
-completion), and normal forms against it truncate in the same way.  The
+as the leading ideal grows, and every new element is truncated below D,
+so its leading monomial can lower D: the corner is re-read after each new
+element.  A `StandardBasis` reads its `corner` off its own leading
+monomials (for a completed basis, the completion's last sweep of the same
+leading ideal), and normal forms against it truncate in the same way.  The
 argument needs only S inside the ideal, not S standard, so the S-pair
 self-check truncates at the corner it reads off the basis itself.  The
 corner is None under the global ordering, where nothing is truncated, and
@@ -114,6 +115,9 @@ DEFAULT_STEP_CAP = 10 ** 6
 
 INFINITE = math.inf
 
+#: A staircase not yet swept; a sweep's own None means "no pure power".
+_UNSWEPT = object()
+
 
 class _Budget:
     """Work budget: one unit per reduction step on small polynomials, more
@@ -140,20 +144,22 @@ class StandardBasis:
     """A completed basis: minimal (pairwise non-divisible leading terms),
     monic, sorted with the largest leading monomial first.
 
-    The staircase of its leading monomials is swept once, here; the
-    corner, the dimension test and the standard-monomial count all read
-    that one result.  corner is the highest-corner degree D of a local
-    basis: every monomial of degree D is a multiple of a leading monomial,
-    so m^D lies in the ideal (module docstring).  It is None under the
-    global ordering and when some variable has no pure power.
+    The staircase of its leading monomials is swept once, here, or, for a
+    local basis that `complete_basis` built, in the completion's last sweep
+    of the same leading ideal; the corner, the dimension test and the
+    standard-monomial count all read that one result.  corner is the
+    highest-corner degree D of a local basis: every monomial of degree D
+    is a multiple of a leading monomial, so m^D lies in the ideal (module
+    docstring).  It is None under the global ordering and when some
+    variable has no pure power.
     """
 
     __slots__ = ("gens", "ring", "_stair")
 
-    def __init__(self, gens: Tuple[Polynomial, ...], ring: Ring):
+    def __init__(self, gens: Tuple[Polynomial, ...], ring: Ring, *, _stair=_UNSWEPT):
         self.gens = gens
         self.ring = ring
-        self._stair = _staircase([g.lm() for g in gens])
+        self._stair = _staircase([g.lm() for g in gens]) if _stair is _UNSWEPT else _stair
 
     @property
     def corner(self) -> Optional[int]:
@@ -406,28 +412,20 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     lms = [g.lm() for g in basis]
     ecarts = None if is_global else [g.ecart() for g in basis]
     corner = None
-    # Variables with no pure power among the leading monomials: until there
-    # are none, there is no corner and no staircase to sweep.
-    unpowered = set() if is_global else set(range(ring.nvars))
+    stair = _UNSWEPT  # the last sweep of lms, which the returned basis takes over
 
-    def lower_corner(new):
-        """Take in the new leading monomials (local ordering); when the
-        corner falls, cut the basis at it."""
-        nonlocal corner
-        for m in new:
-            support = [v for v, e in enumerate(m) if e]
-            if len(support) <= 1:
-                unpowered.difference_update(support or range(ring.nvars))
-        if unpowered:
-            return
-        lowered = _corner_degree(lms)
-        if corner is None or lowered < corner:
-            corner = lowered
+    def lower_corner():
+        """Sweep the staircase of the leading monomials (local ordering);
+        when the corner falls, cut the basis at it."""
+        nonlocal corner, stair
+        stair = _staircase(lms)
+        if stair is not None and (corner is None or stair[1] + 1 < corner):
+            corner = stair[1] + 1
             basis[:] = [_cut_at(g, corner) for g in basis]
             ecarts[:] = [g.ecart() for g in basis]
 
     if not is_global:
-        lower_corner(lms)
+        lower_corner()
 
     # (deg lcm, key of lcm, j, i, lcm) for the pair (i, j), i < j
     queue: List[Tuple[int, int, int, int, Mono]] = []
@@ -485,14 +483,14 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
         if not is_global:
             # h is truncated, so its leading monomial has degree < corner
             ecarts.append(h.ecart())
-            lower_corner([lms[-1]])
+            lower_corner()
         insert(len(basis) - 1)
 
-    return _minimalize(basis, ring, budget, is_global)
+    return _minimalize(basis, ring, budget, is_global, stair)
 
 
 def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
-                is_global: bool) -> StandardBasis:
+                is_global: bool, stair) -> StandardBasis:
     # Drop elements whose leading monomial is divisible by another's; the
     # remaining leading terms still generate the leading ideal.
     order = sorted(range(len(basis)), key=lambda i: (mono_deg(basis[i].lm()), basis[i].keys[0]))
@@ -508,9 +506,9 @@ def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
         for i in range(len(kept)):
             kept[i] = _reduce(kept[i], kept[:i] + kept[i + 1:], budget).monic()
     kept.sort(key=lambda g: g.keys[0], reverse=True)
-    # The leading ideal is that of the completion, so StandardBasis reads
-    # the same corner off it.
-    return StandardBasis(tuple(kept), ring)
+    # The leading ideal is that of the completion, so its last sweep is
+    # the staircase of the basis (local ordering; unswept under the global).
+    return StandardBasis(tuple(kept), ring, _stair=stair)
 
 
 def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None) -> bool:

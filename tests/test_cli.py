@@ -211,6 +211,26 @@ def test_nonpositive_step_cap_is_a_usage_error(capsys):
         assert note["error"] == "usage error" and "--step-cap" in note["message"], cap
 
 
+@pytest.mark.parametrize("argv", [
+    ("tables", "--char", "2", "--vars", "a,b"),
+    ("classify", "--char", "3", "--max-n", "5", "--vars", "q"),
+])
+def test_vars_is_refused_where_the_catalog_fixes_the_variables(capsys, argv):
+    # tables and classify run the catalog's x, y, z equations, so a --vars
+    # there could only be ignored.
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 2
+    assert out == "" and "--vars" in err
+
+
+def test_oracle_reads_vars(capsys):
+    code, payload, _ = run_json(capsys, "oracle", "--char", "2", "--vars", "u,v",
+                                "--gens", "u^2,v^3")
+    assert code == 0
+    assert payload["input"]["vars"] == ["u", "v"]
+    assert payload["engine_length"] == payload["oracle_length"] == 6
+
+
 def test_main_builds_no_parser_per_call(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

@@ -3,10 +3,13 @@ and truncated bases checked against the S-pair criterion and the
 independent truncation oracle.  The property test against a brute-force
 scan is in test_corner_property.py, which needs hypothesis."""
 
+import random
+
 import pytest
 
-from rdpdescent import (OrderingTag, Ring, StandardBasis, complete_basis,
-                        normal_form, parse_poly, s_pairs_reduce_to_zero,
+from rdpdescent import (EngineLimitError, OrderingTag, Ring, StandardBasis,
+                        complete_basis, gbasis, is_dimension_zero, normal_form,
+                        parse_poly, s_pairs_reduce_to_zero,
                         standard_monomial_count, truncation_length_oracle)
 from rdpdescent.catalog import table_records
 from rdpdescent.gbasis import _corner_degree, spoly
@@ -100,3 +103,83 @@ def test_s_pair_check_reads_the_corner_off_the_basis():
     assert not s_pairs_reduce_to_zero(understated)
     # once completed, the basis passes at the corner it reads off itself
     assert s_pairs_reduce_to_zero(complete_basis(gens))
+
+
+# -- the completion hands its last staircase sweep to the basis -------------
+
+def staircase_facts(basis):
+    return basis.corner, is_dimension_zero(basis), standard_monomial_count(basis)
+
+
+def assert_handed_over_staircase_is_its_own(basis, label):
+    # What the completion's last sweep says is what a sweep of the
+    # returned basis's own leading monomials says.
+    direct = StandardBasis(basis.gens, basis.ring)
+    assert staircase_facts(basis) == staircase_facts(direct), label
+
+
+@pytest.mark.parametrize("char", [2, 3, 5])
+def test_completed_table_bases_carry_their_own_staircase(char):
+    for label, ideal, _ in table_ideals(char):
+        assert_handed_over_staircase_is_its_own(complete_basis(ideal.local().gens), label)
+
+
+def test_completed_random_bases_carry_their_own_staircase():
+    # Local ideals with and without constant terms (the unit ideal), of
+    # finite and of infinite length.
+    rng = random.Random(12)
+    done = 0
+    while done < 150:
+        p = rng.choice([2, 3, 5])
+        ring = Ring(p, tuple("xyz"[:rng.choice([2, 3])]), LOCAL)
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            terms = {tuple(rng.randrange(4) for _ in range(ring.nvars)): rng.randrange(1, p)
+                     for _ in range(rng.randint(1, 3))}
+            gens.append(ring.poly(terms))
+        try:
+            basis = complete_basis(gens, step_cap=4000)
+        except EngineLimitError:
+            continue
+        assert_handed_over_staircase_is_its_own(basis, (p, [str(g) for g in gens]))
+        done += 1
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The staircase sweeps made, with the number made before the
+    completion's minimalization, once per completion."""
+    log = {"stairs": [], "before_minimalize": []}
+    sweep, minimalize = gbasis._staircase, gbasis._minimalize
+
+    def logged_sweep(lms):
+        log["stairs"].append(sweep(lms))
+        return log["stairs"][-1]
+
+    def marked_minimalize(*args):
+        log["before_minimalize"].append(len(log["stairs"]))
+        return minimalize(*args)
+
+    monkeypatch.setattr(gbasis, "_staircase", logged_sweep)
+    monkeypatch.setattr(gbasis, "_minimalize", marked_minimalize)
+    return log
+
+
+def test_no_sweep_runs_after_the_local_completion(sweeps):
+    for label, ideal, _ in table_ideals(3):
+        sweeps["stairs"].clear()
+        sweeps["before_minimalize"].clear()
+        basis = complete_basis(ideal.local().gens)
+        assert sweeps["before_minimalize"] == [len(sweeps["stairs"])], label
+        assert basis._stair is sweeps["stairs"][-1], label
+
+
+def test_global_and_directly_built_bases_sweep_once(sweeps):
+    ring = Ring(3, ("x", "y"), OrderingTag.GLOBAL_DEGREVLEX)
+    basis = complete_basis([parse_poly(s, ring) for s in ("x^2+y^3", "x*y")])
+    # the global completion sweeps nothing; the basis sweeps in its constructor
+    assert sweeps["before_minimalize"] == [0] and len(sweeps["stairs"]) == 1
+    assert standard_monomial_count(basis) == 5
+    sweeps["stairs"].clear()
+    direct = StandardBasis(basis.gens, basis.ring)
+    assert len(sweeps["stairs"]) == 1 and direct._stair is sweeps["stairs"][0]
