@@ -276,8 +276,16 @@ def _add_vars(sub):
     sub.add_argument("--vars", default="x,y,z", help="comma-separated variable names (default x,y,z)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """error() raises UsageError, so a bad command line ends in the one-line
+    JSON note instead of usage text; subparsers inherit the class."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rdpdescent",
         description="Exact descent criteria for hypersurface singularities over prime fields.")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -335,12 +343,11 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _run(argv: Optional[List[str]]) -> int:
     try:
         args = _PARSER.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
         if args.step_cap is not None and args.step_cap < 1:
             raise UsageError(f"--step-cap must be a positive integer, got {args.step_cap}")
         return args.func(args)
+    except SystemExit:  # the parser exits only after printing --help
+        return EXIT_OK
     except ParseError as exc:
         _stderr_note({"error": "parse error", "position": exc.position, "message": exc.message})
         return EXIT_USAGE

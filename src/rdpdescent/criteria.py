@@ -201,25 +201,13 @@ def shape_witness(germ: HypersurfaceGerm) -> CriterionReport:
     """Sufficient certificate: f = v0^q + g, q = p^e with e >= 1, where g
     does not involve v0 and has neither constant nor linear terms."""
     ring = germ.ring
-    f = germ.f
-    qs: List[int] = []
-    power = ring.p
-    while power <= f.degree():
-        qs.append(power)
-        power *= ring.p
+    monos = [m for m, _ in germ.f.terms]
     for v0 in range(ring.nvars):
-        for qq in qs:
-            target = tuple(qq if i == v0 else 0 for i in range(ring.nvars))
-            ok = False
-            for mono, _ in f.terms:
-                if mono == target:
-                    ok = True
-                elif mono[v0] != 0 or mono_deg(mono) < 2:
-                    ok = False
-                    break
-            if ok:
-                return CriterionReport(SHAPE_WITNESS, PASS,
-                                       {"variable": ring.names[v0], "q": qq})
+        involved = [m for m in monos if m[v0]]  # v0^q alone, if f has the shape
+        q = involved[0][v0] if len(involved) == 1 else 0
+        if (q > 1 and mono_deg(involved[0]) == q and _split_p_part(q, ring.p)[1] == 1
+                and all(mono_deg(m) >= 2 for m in monos if not m[v0])):
+            return CriterionReport(SHAPE_WITNESS, PASS, {"variable": ring.names[v0], "q": q})
     return CriterionReport(SHAPE_WITNESS, FAIL,
                            {"detail": "no variable splits off as a q-th power"})
 

@@ -115,9 +115,6 @@ DEFAULT_STEP_CAP = 10 ** 6
 
 INFINITE = math.inf
 
-#: A staircase not yet swept; a sweep's own None means "no pure power".
-_UNSWEPT = object()
-
 
 class _Budget:
     """Work budget: one unit per reduction step on small polynomials, more
@@ -144,28 +141,26 @@ class StandardBasis:
     """A completed basis: minimal (pairwise non-divisible leading terms),
     monic, sorted with the largest leading monomial first.
 
-    The staircase of its leading monomials is swept once, here, or, for a
-    local basis that `complete_basis` built, in the completion's last sweep
-    of the same leading ideal; the corner, the dimension test and the
-    standard-monomial count all read that one result.  corner is the
-    highest-corner degree D of a local basis: every monomial of degree D
-    is a multiple of a leading monomial, so m^D lies in the ideal (module
-    docstring).  It is None under the global ordering and when some
-    variable has no pure power.
+    It stores the staircase record (count, corner) of its leading
+    monomials (`_staircase`), swept here or, for a local basis that
+    `complete_basis` built, in the completion's last sweep of the same
+    leading ideal; the corner, the dimension test and the standard-monomial
+    count all read that one record.  corner is the highest-corner degree D
+    of a local basis: every monomial of degree D is a multiple of a leading
+    monomial, so m^D lies in the ideal (module docstring).  It is None
+    under the global ordering and when some variable has no pure power.
     """
 
     __slots__ = ("gens", "ring", "_stair")
 
-    def __init__(self, gens: Tuple[Polynomial, ...], ring: Ring, *, _stair=_UNSWEPT):
+    def __init__(self, gens: Tuple[Polynomial, ...], ring: Ring, *, _stair=None):
         self.gens = gens
         self.ring = ring
-        self._stair = _staircase([g.lm() for g in gens]) if _stair is _UNSWEPT else _stair
+        self._stair = _staircase([g.lm() for g in gens]) if _stair is None else _stair
 
     @property
     def corner(self) -> Optional[int]:
-        if self._stair is None or self.ring.ordering == OrderingTag.GLOBAL_DEGREVLEX:
-            return None
-        return self._stair[1] + 1
+        return None if self.ring.ordering == OrderingTag.GLOBAL_DEGREVLEX else self._stair[1]
 
     @property
     def ordering(self) -> OrderingTag:
@@ -299,50 +294,46 @@ def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynom
 
 
 def _prepare(gens: Sequence[Polynomial]) -> List[Polynomial]:
-    out = []
-    seen = set()
+    unique = {}  # the monic nonzero generators, first occurrences in order
     for g in gens:
-        if g.is_zero:
-            continue
-        g = g.monic()
-        if g.terms in seen:
-            continue
-        seen.add(g.terms)
-        out.append(g)
-    out.sort(key=lambda g: g.keys[0], reverse=True)
-    return out
+        if not g.is_zero:
+            g = g.monic()
+            unique.setdefault(g.terms, g)
+    return sorted(unique.values(), key=lambda g: g.keys[0], reverse=True)
 
 
-def _staircase(lms: Sequence[Mono]) -> Optional[Tuple[int, int]]:
-    """(number, largest degree) of the monomials outside the ideal that lms
-    generate; largest degree -1 for the unit ideal.  None when some variable
-    has no pure power among lms, so that infinitely many lie outside.
+def _staircase(lms: Sequence[Mono]) -> tuple:
+    """The staircase record (count, corner) of the ideal that lms generate:
+    the number of monomials outside it, and the least D such that all of
+    degree D lie inside (one more than the largest degree outside).  (0, 0)
+    for the unit ideal; (INFINITE, None) when some variable has no pure
+    power among lms (or lms is empty), so that infinitely many lie outside.
 
-    Those monomials lie in the box below the pure powers.  With the
+    The monomials outside lie in the box below the pure powers.  With the
     variables ordered by increasing pure power, the sweep loops over the
     box in all but the last two exponents and sweeps the next-to-last one;
     the admissible last exponents are those below the running minimum of
     the last exponent over the generators that divide the current prefix.
     """
     if not lms:
-        return None
+        return INFINITE, None
     n = len(lms[0])
     powers = [None] * n
     for m in lms:
         d = mono_deg(m)
         if d == 0:
-            return 0, -1
+            return 0, 0
         for i, e in enumerate(m):
             if e == d and (powers[i] is None or e < powers[i]):
                 powers[i] = e
     if None in powers:
-        return None
+        return INFINITE, None
     if n == 1:
-        return powers[0], powers[0] - 1
+        return powers[0], powers[0]
     order = sorted(range(n), key=powers.__getitem__)
     box = [powers[i] for i in order]
     gens = [tuple(m[i] for i in order) for m in lms]
-    count, top = 0, -1
+    count = corner = 0
     for prefix in itertools.product(*(range(b) for b in box[:n - 2])):
         live = sorted((g for g in gens if all(e <= x for e, x in zip(g, prefix))),
                       key=lambda g: g[n - 2])
@@ -355,15 +346,14 @@ def _staircase(lms: Sequence[Mono]) -> Optional[Tuple[int, int]]:
             if runmin == 0:
                 break
             count += runmin
-            top = max(top, base + e + runmin - 1)
-    return count, top
+            corner = max(corner, base + e + runmin)
+    return count, corner
 
 
 def _corner_degree(lms: Sequence[Mono]) -> Optional[int]:
     """The least D such that every monomial of degree D is divisible by one
     of lms; None when some variable has no pure power among lms."""
-    stair = _staircase(lms)
-    return None if stair is None else stair[1] + 1
+    return _staircase(lms)[1]
 
 
 def _cut_at(g: Polynomial, corner: int) -> Polynomial:
@@ -411,16 +401,15 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     # The leading monomials, which `_cut_at` keeps, and the local ecarts.
     lms = [g.lm() for g in basis]
     ecarts = None if is_global else [g.ecart() for g in basis]
-    corner = None
-    stair = _UNSWEPT  # the last sweep of lms, which the returned basis takes over
+    corner = stair = None  # stair: the last sweep of lms, which the returned basis takes over
 
     def lower_corner():
         """Sweep the staircase of the leading monomials (local ordering);
         when the corner falls, cut the basis at it."""
         nonlocal corner, stair
         stair = _staircase(lms)
-        if stair is not None and (corner is None or stair[1] + 1 < corner):
-            corner = stair[1] + 1
+        if stair[1] is not None and (corner is None or stair[1] < corner):
+            corner = stair[1]
             basis[:] = [_cut_at(g, corner) for g in basis]
             ecarts[:] = [g.ecart() for g in basis]
 
@@ -489,16 +478,21 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     return _minimalize(basis, ring, budget, is_global, stair)
 
 
+def _minimal(items: Sequence, lm=lambda m: m) -> list:
+    """The items, in scan order, whose lm no earlier kept item's lm divides."""
+    kept: list = []
+    for item in items:
+        m = lm(item)
+        if not any(mono_divides(lm(k), m) for k in kept):
+            kept.append(item)
+    return kept
+
+
 def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
                 is_global: bool, stair) -> StandardBasis:
     # Drop elements whose leading monomial is divisible by another's; the
     # remaining leading terms still generate the leading ideal.
-    order = sorted(range(len(basis)), key=lambda i: (mono_deg(basis[i].lm()), basis[i].keys[0]))
-    kept: List[Polynomial] = []
-    for i in order:
-        lm = basis[i].lm()
-        if not any(mono_divides(g.lm(), lm) for g in kept):
-            kept.append(basis[i])
+    kept = _minimal(sorted(basis, key=lambda g: (mono_deg(g.lm()), g.keys[0])), Polynomial.lm)
     if is_global:
         # Tail-reduce to the unique reduced Groebner basis.  The basis is
         # minimal, so no leading monomial changes, and a remainder free of
@@ -506,8 +500,8 @@ def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
         for i in range(len(kept)):
             kept[i] = _reduce(kept[i], kept[:i] + kept[i + 1:], budget).monic()
     kept.sort(key=lambda g: g.keys[0], reverse=True)
-    # The leading ideal is that of the completion, so its last sweep is
-    # the staircase of the basis (local ordering; unswept under the global).
+    # The leading ideal is that of the completion, so its last sweep is the
+    # basis's staircase; under the global ordering stair is None and it sweeps.
     return StandardBasis(tuple(kept), ring, _stair=stair)
 
 
@@ -519,7 +513,9 @@ def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None)
     monomials, recomputed here and not taken from basis.corner.  That is
     sound for any subset of the ideal (module docstring): zero normal forms
     then make the gens together with the degree-D monomials a standard
-    basis, and those monomials add nothing to the leading ideal.
+    basis, and those monomials add nothing to the leading ideal.  Each pair
+    gets a fresh budget of step_cap: the cap bounds each pair's reduction,
+    where `complete_basis`'s cap bounds the whole completion.
     """
     gens = basis.gens
     corner = ecarts = None
@@ -535,12 +531,7 @@ def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None)
 
 def leading_ideal(basis: StandardBasis) -> Tuple[Mono, ...]:
     """Minimal generating set of the leading term ideal."""
-    lms = sorted(set(basis.leading_monomials()), key=mono_deg)
-    minimal: List[Mono] = []
-    for m in lms:
-        if not any(mono_divides(g, m) for g in minimal):
-            minimal.append(m)
-    return tuple(minimal)
+    return tuple(_minimal(sorted(set(basis.leading_monomials()), key=mono_deg)))
 
 
 def is_dimension_zero(basis: StandardBasis) -> bool:
@@ -550,7 +541,7 @@ def is_dimension_zero(basis: StandardBasis) -> bool:
     ideal at the origin; under the global one, that the quotient ring is a
     finite-dimensional vector space.
     """
-    return basis._stair is not None
+    return basis._stair[1] is not None
 
 
 def standard_monomial_count(basis: StandardBasis):
@@ -560,4 +551,4 @@ def standard_monomial_count(basis: StandardBasis):
     For a dimension-zero local standard basis this is the length of the
     Artinian quotient of the localization at the origin.
     """
-    return INFINITE if basis._stair is None else basis._stair[0]
+    return basis._stair[0]

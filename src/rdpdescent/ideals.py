@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -211,19 +212,12 @@ def is_parameter_ideal(ideal: IdealPresentation, step_cap: Optional[int] = None)
 # ---------------------------------------------------------------------------
 
 def _monomials_by_degree(n: int, maxdeg: int) -> List[List[Mono]]:
-    """All exponent tuples of each total degree 0..maxdeg."""
-    out: List[List[Mono]] = [[] for _ in range(maxdeg + 1)]
-
-    def rec(prefix, left, remaining):
-        if left == 1:
-            out[remaining + sum(prefix)].append(tuple(prefix) + (remaining,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + [e], left - 1, remaining - e)
-
-    for d in range(maxdeg + 1):
-        rec([], n, d)
-    return out
+    """All exponent tuples of each total degree 0..maxdeg, in increasing
+    lexicographic order within a degree."""
+    if n == 1:
+        return [[(d,)] for d in range(maxdeg + 1)]
+    rest = _monomials_by_degree(n - 1, maxdeg)
+    return [[(e,) + m for e in range(d + 1) for m in rest[d - e]] for d in range(maxdeg + 1)]
 
 
 class _Echelon:
@@ -296,26 +290,20 @@ class _OracleRun:
         ring = gens[0].ring
         self.p = ring.p
         self.workdeg = workdeg
-        n = ring.nvars
+        self.n = n = ring.nvars
         by_deg = _monomials_by_degree(n, workdeg - 1)
         self.cols: List[Mono] = [m for level in by_deg for m in level]
         self.index = {m: i for i, m in enumerate(self.cols)}
-        # Column count of each degree-truncation level.
-        self.ncols_below = [0] * (workdeg + 1)
-        for d in range(workdeg):
-            self.ncols_below[d + 1] = self.ncols_below[d] + len(by_deg[d])
         self.ech = _Echelon(self.p)
-        self.pivots_by_deg = [0] * (workdeg + 1)
+        pivots = [0] * workdeg  # pivot columns of each degree
         for g in gens:
             o = g.order()
             for mdeg in range(workdeg - o):
                 for mult in by_deg[mdeg]:
                     col = self.ech.insert(self._row(g, mult))
                     if col is not None:
-                        self.pivots_by_deg[mono_deg(self.cols[col])] += 1
-        self.pivots_below = [0] * (workdeg + 1)
-        for d in range(workdeg):
-            self.pivots_below[d + 1] = self.pivots_below[d] + self.pivots_by_deg[d]
+                        pivots[mono_deg(self.cols[col])] += 1
+        self.pivots_below = list(accumulate(pivots, initial=0))
 
     def _row(self, g: Polynomial, mult: Mono) -> Dict[int, int]:
         """mult*g truncated below the working degree."""
@@ -328,13 +316,13 @@ class _OracleRun:
         return row
 
     def quotient_dim(self, d: int) -> int:
-        """lambda_d = dim R/(I + m^d)."""
-        return self.ncols_below[d] - self.pivots_below[d]
+        """lambda_d = dim R/(I + m^d): the monomials of degree < d, less
+        the pivots among them."""
+        return math.comb(d - 1 + self.n, self.n) - self.pivots_below[d]
 
     def pure_power_in_span(self, var: int, through: int) -> bool:
-        n = len(self.cols[0])
         for e in range(1, through + 1):
-            mono = tuple(e if i == var else 0 for i in range(n))
+            mono = tuple(e if i == var else 0 for i in range(self.n))
             if self.ech.member({self.index[mono]: 1}):
                 return True
         return False
@@ -348,10 +336,9 @@ class _OracleRun:
         check is kept as an independent guard and scanning continues past
         a failure rather than giving up.
         """
-        n = len(self.cols[0])
         for d in range(2, self.workdeg):
             if self.quotient_dim(d) == self.quotient_dim(d + 1):
-                if all(self.pure_power_in_span(i, d) for i in range(n)):
+                if all(self.pure_power_in_span(i, d) for i in range(self.n)):
                     return d
         return None
 

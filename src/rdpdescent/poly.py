@@ -268,11 +268,7 @@ class Polynomial:
         return self.degree() - mono_deg(self.lm())
 
     def constant_coeff(self) -> int:
-        zero = (0,) * self.ring.nvars
-        for m, c in self.terms:
-            if m == zero:
-                return c
-        return 0
+        return self.coeff((0,) * self.ring.nvars)
 
     def coeff(self, m: Mono) -> int:
         for mm, c in self.terms:

@@ -223,6 +223,26 @@ def test_vars_is_refused_where_the_catalog_fixes_the_variables(capsys, argv):
     assert out == "" and "--vars" in err
 
 
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--char", "2", "--json"),
+    ("tables", "--char", "2", "--vars", "a,b", "--json"),
+    ("classify", "--char", "x"),
+    (),
+])
+def test_command_line_errors_leave_one_json_note(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    [line] = err.splitlines()
+    assert json.loads(line)["error"] == "usage error"
+
+
+def test_help_exits_zero_and_quietly(capsys):
+    code, out, err = run(capsys, "tables", "--help")
+    assert code == 0
+    assert "--max-n" in out and err == ""
+
 def test_oracle_reads_vars(capsys):
     code, payload, _ = run_json(capsys, "oracle", "--char", "2", "--vars", "u,v",
                                 "--gens", "u^2,v^3")

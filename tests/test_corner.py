@@ -12,7 +12,7 @@ from rdpdescent import (EngineLimitError, OrderingTag, Ring, StandardBasis,
                         parse_poly, s_pairs_reduce_to_zero,
                         standard_monomial_count, truncation_length_oracle)
 from rdpdescent.catalog import table_records
-from rdpdescent.gbasis import _corner_degree, spoly
+from rdpdescent.gbasis import INFINITE, _corner_degree, _staircase, spoly
 from rdpdescent.ideals import (HypersurfaceGerm, bracket_ideal, jacobian_ideal,
                                local_length)
 
@@ -26,6 +26,17 @@ def test_corner_degree_examples():
     assert _corner_degree([(5,)]) == 5
     assert _corner_degree([(1, 0, 0), (0, 1, 0), (0, 0, 93)]) == 93
 
+
+
+def test_staircase_record_is_count_and_corner():
+    assert _staircase([(0, 0), (1, 0)]) == (0, 0)            # the unit ideal
+    assert _staircase([(2, 0), (1, 1)]) == (INFINITE, None)  # no pure power of y
+    assert _staircase([]) == (INFINITE, None)
+    assert _staircase([(2, 0), (0, 3)]) == (6, 4)            # 1, y, y^2, x, xy, xy^2
+    empty = StandardBasis((), Ring(2, ("x", "y"), LOCAL))
+    assert empty.corner is None
+    assert not is_dimension_zero(empty)
+    assert standard_monomial_count(empty) == INFINITE
 
 def test_global_and_positive_dimensional_bases_have_no_corner():
     ring = Ring(2, ("x", "y", "z"), LOCAL)

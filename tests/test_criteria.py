@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 
 import pytest
 
@@ -233,6 +234,69 @@ def test_shape_char3_e6_0():
 def test_shape_rejects_linear_tail():
     assert shape_witness(germ_of("z^2+x")).status == FAIL
 
+
+
+def shape_by_definition(f):
+    """The docstring of shape_witness, transcribed: the first v0, and a
+    q = p^e with e >= 1, such that f has a v0^q term and f minus that term
+    involves no v0 and has no term of degree < 2."""
+    ring = f.ring
+    terms = dict(f.terms)
+    for v0 in range(ring.nvars):
+        q = ring.p
+        while q <= f.degree():
+            power = tuple(q if i == v0 else 0 for i in range(ring.nvars))
+            rest = [m for m in terms if m != power]
+            if power in terms and all(m[v0] == 0 and sum(m) >= 2 for m in rest):
+                return {"variable": ring.names[v0], "q": q}
+            q *= ring.p
+    return None
+
+
+def random_shape_candidate(rng):
+    """A random equation, mostly a power of one variable plus terms free of
+    it, so that a fair share has the shape; some draws break it with an
+    arbitrary extra term, a power that is no p-power, or no structure."""
+    p = rng.choice([2, 3, 5, 7])
+    n = rng.randint(1, 4)
+    ordering = rng.choice([LOCAL, OrderingTag.GLOBAL_DEGREVLEX])
+    ring = Ring(p, ("x", "y", "z", "w")[:n], ordering)
+    while True:
+        terms = {}
+        if rng.random() < 0.75:
+            v0 = rng.randrange(n)
+            q = rng.choice([p, p, p * p, rng.randint(1, 10)])
+            terms[tuple(q if i == v0 else 0 for i in range(n))] = rng.randrange(1, p)
+            for _ in range(rng.randint(0, 4)):
+                m = tuple(0 if i == v0 else rng.randint(0, 3) for i in range(n))
+                if sum(m) >= 2:
+                    terms[m] = rng.randrange(1, p)
+            if rng.random() < 0.3:
+                m = tuple(rng.randint(0, 3) for _ in range(n))
+                terms[m] = rng.randrange(1, p)
+        else:
+            for _ in range(rng.randint(1, 5)):
+                terms[tuple(rng.randint(0, 4) for _ in range(n))] = rng.randrange(1, p)
+        terms.pop((0,) * n, None)
+        if terms:
+            return HypersurfaceGerm(ring.poly(terms))
+
+
+def test_shape_witness_matches_its_definition():
+    rng = random.Random(2024)
+    passes = 0
+    cases = 600
+    for _ in range(cases):
+        germ = random_shape_candidate(rng)
+        expected = shape_by_definition(germ.f)
+        rep = shape_witness(germ)
+        label = (germ.ring.p, germ.ring.ordering, str(germ.f))
+        if expected is None:
+            assert rep.status == FAIL, label
+        else:
+            assert rep.status == PASS and rep.witness == expected, label
+            passes += 1
+    assert passes >= cases // 10
 
 # -- aggregation ----------------------------------------------------------------------------
 
