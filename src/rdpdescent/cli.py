@@ -31,7 +31,7 @@ from . import catalog
 from .criteria import (BLOCKED, DESCENDS, NOT_APPLICABLE, PASS, UNDECIDED,
                        UNDETERMINED, length_formula, run_battery)
 from .errors import EngineLimitError, UsageError
-from .gbasis import DEFAULT_STEP_CAP, INFINITE
+from .gbasis import DEFAULT_STEP_CAP
 # jacobian_ideal and bracket_ideal are not called here; they stay names of
 # this module because perfbench/spans.py wraps them on every module that
 # hands work to the ideal layer.
@@ -99,15 +99,11 @@ def cmd_analyze(args) -> int:
 
 def _recompute_row(rec, step_cap: Optional[int]) -> dict:
     report = length_formula(rec.germ(), step_cap)
-    if report.status == NOT_APPLICABLE:
-        # J is not m-primary, and neither is J^[p], which has the same radical.
-        lj, ljp, theta = INFINITE, INFINITE, None
-    else:
-        lj, ljp = report.witness["len_jacobian"], report.witness["len_bracket"]
-        theta = report.status == PASS
+    lj, ljp = report.witness["len_jacobian"], report.witness["len_bracket"]
+    theta = None if report.status == NOT_APPLICABLE else report.status == PASS
     return {
         "label": rec.label, "equation": rec.equation, "pi1": rec.pi1,
-        "len_j": length_tag(lj), "len_jp": length_tag(ljp), "theta_free": theta,
+        "len_j": lj, "len_jp": ljp, "theta_free": theta,
         "stored_len_j": rec.ref_len_j, "stored_len_jp": rec.ref_len_jp,
         "stored_theta_free": rec.ref_theta_free,
         "match": (lj == rec.ref_len_j and ljp == rec.ref_len_jp

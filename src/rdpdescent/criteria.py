@@ -86,8 +86,8 @@ def tjurina_p_divisible(germ: HypersurfaceGerm, step_cap: Optional[int] = None) 
     p = germ.ring.p
     tj = local_length(jacobian_ideal(germ), step_cap)
     if tj == INFINITE:
-        return CriterionReport(TJURINA_P_DIVISIBLE, NOT_APPLICABLE,
-                               {"tjurina": "INFINITE", "detail": "singular locus not isolated at the origin"})
+        return CriterionReport(TJURINA_P_DIVISIBLE, NOT_APPLICABLE, {
+            "tjurina": length_tag(tj), "detail": "singular locus not isolated at the origin"})
     status = PASS if tj % p == 0 else FAIL
     return CriterionReport(TJURINA_P_DIVISIBLE, status, {"tjurina": tj, "char": p})
 
@@ -98,8 +98,9 @@ def length_formula(germ: HypersurfaceGerm, step_cap: Optional[int] = None) -> Cr
     jac = jacobian_ideal(germ)
     lj = local_length(jac, step_cap)
     if lj == INFINITE:
+        # J^[p] has the radical of J, so it is not m-primary either.
         return CriterionReport(LENGTH_FORMULA, NOT_APPLICABLE,
-                               {"len_jacobian": "INFINITE"})
+                               {"len_jacobian": length_tag(lj), "len_bracket": length_tag(lj)})
     ljp = local_length(bracket_ideal(jac, germ), step_cap)
     expected = p ** germ.dim * lj
     status = PASS if ljp == expected else FAIL
@@ -112,7 +113,7 @@ def theta_free(germ: HypersurfaceGerm, step_cap: Optional[int] = None) -> Criter
     equivalence with the length formula (normal surface hypersurface)."""
     if germ.ring.nvars != 3:
         return CriterionReport(THETA_FREE, NOT_APPLICABLE,
-                               {"detail": "stated for surface hypersurfaces in three variables"})
+                               {"detail": "three variables only"})
     inner = length_formula(germ, step_cap)
     witness = dict(inner.witness)
     witness["via"] = "length formula equivalence"
@@ -127,11 +128,15 @@ def invertible_summand(germ: HypersurfaceGerm, step_cap: Optional[int] = None) -
     ring = germ.ring
     if ring.nvars != 3:
         return CriterionReport(INVERTIBLE_SUMMAND, NOT_APPLICABLE,
-                               {"detail": "stated for surface hypersurfaces in three variables"})
+                               {"detail": "three variables only"})
     jac = jacobian_ideal(germ)
-    if local_length(jac, step_cap) == INFINITE:
+    tj = local_length(jac, step_cap)
+    if tj == INFINITE:
         return CriterionReport(INVERTIBLE_SUMMAND, NOT_APPLICABLE,
                                {"detail": "singular locus not isolated at the origin"})
+    if tj == 0:
+        return CriterionReport(INVERTIBLE_SUMMAND, NOT_APPLICABLE,
+                               {"detail": "the origin is a smooth point"})
     *partials, f = jac.gens
     failures = {}
     limit = None
@@ -256,14 +261,12 @@ def run_battery(germ: HypersurfaceGerm, record=None, short_circuit: bool = False
             PIC_TORSION_P_GROUP: lambda: pic_torsion_p_group(record.pic_order, record.char),
             PI1_TRIVIAL: lambda: pi1_trivial(record.pi1),
         }
-    surface = germ.ring.nvars == 3
     checks = {
         **group_checks,
         TJURINA_P_DIVISIBLE: lambda: tjurina_p_divisible(germ, step_cap),
         LENGTH_FORMULA: lambda: length_formula(germ, step_cap),
-        THETA_FREE: (lambda: theta_free(germ, step_cap)) if surface else "three variables only",
-        INVERTIBLE_SUMMAND: ((lambda: invertible_summand(germ, step_cap)) if surface
-                             else "three variables only"),
+        THETA_FREE: lambda: theta_free(germ, step_cap),
+        INVERTIBLE_SUMMAND: lambda: invertible_summand(germ, step_cap),
         SHAPE_WITNESS: lambda: shape_witness(germ),
     }
     reports: List[CriterionReport] = []

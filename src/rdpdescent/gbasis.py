@@ -225,7 +225,7 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
     and nothing joins; an irreducible leading term moves to the remainder,
     which makes the result fully reduced.  With a corner D, f and every
     reducer multiple are kept free of terms of degree >= D.  A caller that
-    reduces against the same gens many times passes their local ecarts.
+    reduces against the same gens many times passes their ecarts.
 
     With trace, returns (nf, u, quots) with u*f = sum(quots[i]*gens[i]) + nf
     up to terms of degree >= corner, where u has a nonzero constant term
@@ -236,9 +236,7 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
     # (reducer, its ecart, its certificate): the index of a generator, or
     # (u, quots) with reducer = u*f - sum quots[i]*gens[i] for a joined h.
-    if is_global:
-        ecarts = itertools.repeat(0)
-    elif ecarts is None:
+    if ecarts is None:
         ecarts = [g.ecart() for g in gens]
     reducers: List[Tuple[Polynomial, int, object]] = list(zip(gens, ecarts, itertools.count()))
     h = _truncate(f, corner)
@@ -398,9 +396,9 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     if not basis:
         return StandardBasis((), ring)
 
-    # The leading monomials, which `_cut_at` keeps, and the local ecarts.
+    # The leading monomials, which `_cut_at` keeps, and the ecarts.
     lms = [g.lm() for g in basis]
-    ecarts = None if is_global else [g.ecart() for g in basis]
+    ecarts = [g.ecart() for g in basis]
     corner = stair = None  # stair: the last sweep of lms, which the returned basis takes over
 
     def lower_corner():
@@ -469,9 +467,9 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
         h = h.monic()
         basis.append(h)
         lms.append(h.lm())
+        ecarts.append(h.ecart())
         if not is_global:
             # h is truncated, so its leading monomial has degree < corner
-            ecarts.append(h.ecart())
             lower_corner()
         insert(len(basis) - 1)
 
@@ -518,10 +516,9 @@ def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None)
     where `complete_basis`'s cap bounds the whole completion.
     """
     gens = basis.gens
-    corner = ecarts = None
-    if basis.ordering != OrderingTag.GLOBAL_DEGREVLEX:
-        corner = _corner_degree(basis.leading_monomials())
-        ecarts = [g.ecart() for g in gens]
+    corner = (None if basis.ordering == OrderingTag.GLOBAL_DEGREVLEX
+              else _corner_degree(basis.leading_monomials()))
+    ecarts = [g.ecart() for g in gens]
     for i, j in itertools.combinations(range(len(gens)), 2):
         if not _reduce(spoly(gens[i], gens[j]), gens, _Budget(step_cap), corner,
                        ecarts=ecarts).is_zero:

@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 import pytest
 
 import rdpdescent
+from rdpdescent import cli
+from rdpdescent.catalog import table_records
 from rdpdescent.cli import EXIT_OUTPUT_CLOSED, main
 
 
@@ -89,6 +92,24 @@ def test_tables_char2_all_match(capsys):
     pairs = [(row["len_j"], row["len_jp"]) for row in payload["rows"]]
     assert pairs == [(8, 32), (6, 28), (14, 56), (12, 48), (10, 40), (8, 35),
                      (16, 64), (14, 56), (12, 48), (10, 44), (8, 37)]
+
+
+def test_tables_row_of_a_non_isolated_equation():
+    # x*y is singular along the z-axis: neither J nor J^[p] is m-primary.
+    rec = dataclasses.replace(table_records()[0], equation="x*y")
+    row = cli._recompute_row(rec, None)
+    assert row["len_j"] == row["len_jp"] == "INFINITE"
+    assert row["theta_free"] is None
+    assert row["match"] is False
+
+
+def test_analyze_smooth_germ_is_not_blocked(capsys):
+    code, payload, err = run_json(capsys, "analyze", "--char", "3", "--poly", "x+y^2+z^2")
+    assert code == 0 and err == ""
+    assert payload["verdict"] == {"outcome": "UNDETERMINED", "reasons": []}
+    summand = next(c for c in payload["criteria"] if c["id"] == "INVERTIBLE_SUMMAND")
+    assert summand == {"id": "INVERTIBLE_SUMMAND", "status": "NOT_APPLICABLE",
+                       "witness": {"detail": "the origin is a smooth point"}}
 
 
 def test_tables_rejects_characteristic_seven(capsys):

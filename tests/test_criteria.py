@@ -12,8 +12,9 @@ from rdpdescent import (ConsistencyError, EngineLimitError, HypersurfaceGerm,
                         theta_free, tjurina_p_divisible)
 from rdpdescent.catalog import instantiate, table_records
 from rdpdescent.criteria import (BLOCKED, CRITERION_ORDER, DESCENDS, FAIL,
-                                 NOT_APPLICABLE, PASS, SHAPE_WITNESS,
-                                 UNDECIDED, UNDETERMINED, CriterionReport)
+                                 INVERTIBLE_SUMMAND, NOT_APPLICABLE, PASS,
+                                 SHAPE_WITNESS, THETA_FREE, UNDECIDED,
+                                 UNDETERMINED, CriterionReport)
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
@@ -176,6 +177,28 @@ def test_summand_permutation_invariant():
 def test_summand_not_applicable_cases():
     assert invertible_summand(germ_of("x*y")).status == NOT_APPLICABLE
     assert invertible_summand(germ_of("x^2+y^2", names=("x", "y"))).status == NOT_APPLICABLE
+
+
+@pytest.mark.parametrize("src,p", [("x+y^2+z^2", 3), ("x", 2), ("y+x^3", 5)])
+def test_summand_not_applicable_at_a_smooth_origin(src, p):
+    # A linear term makes the origin a regular point: O/J is zero, the
+    # cotangent stalk is free and no parameter ideal is asked for.
+    rep = invertible_summand(germ_of(src, p=p))
+    assert rep.status == NOT_APPLICABLE
+    assert rep.witness == {"detail": "the origin is a smooth point"}
+    _, verdict = run_battery(germ_of(src, p=p))
+    assert verdict.outcome == UNDETERMINED
+
+
+@pytest.mark.parametrize("src,names", [("u^2+v^3", ("u", "v")),
+                                       ("w^2+x^3+y^5+z^7", ("w", "x", "y", "z"))])
+def test_battery_reports_the_surface_criteria_as_they_report_themselves(src, names):
+    germ = germ_of(src, p=3, names=names)
+    reports, _ = run_battery(germ)
+    by_id = {r.id: r for r in reports}
+    assert by_id[THETA_FREE] == theta_free(germ)
+    assert by_id[INVERTIBLE_SUMMAND] == invertible_summand(germ)
+    assert theta_free(germ).witness == {"detail": "three variables only"}
 
 
 # -- arithmetic criteria -----------------------------------------------------------------

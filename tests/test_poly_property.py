@@ -1,7 +1,7 @@
 """`Polynomial.degree`, `order` and `ecart` against a scan over all terms,
 under both orderings, with hypothesis."""
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rdpdescent import OrderingTag, Ring
@@ -30,6 +30,15 @@ def test_degree_and_order_match_a_scan(f):
     assert f.degree() == max(degrees)
     assert f.order() == min(degrees)
     assert f.ecart() == max(degrees) - mono_deg(f.lm())
+
+
+@settings(max_examples=300, deadline=None)
+@given(polynomials())
+def test_global_ordering_has_ecart_zero(f):
+    # The leading term under degrevlex has the highest degree, which lets
+    # the reduction loop treat both orderings through their ecarts.
+    assume(f.ring.ordering == OrderingTag.GLOBAL_DEGREVLEX and not f.is_zero)
+    assert f.ecart() == 0
 
 
 def test_zero_polynomial_under_both_orderings():
