@@ -208,9 +208,22 @@ def cmd_classify(args) -> int:
 # oracle
 # ---------------------------------------------------------------------------
 
+def _parse_gens(text: str, ring: Ring) -> list:
+    """The comma-separated generators of text; a parse error's position is
+    an offset into the whole text, not into the one generator."""
+    gens, start = [], 0
+    for src in text.split(","):
+        try:
+            gens.append(parse_poly(src, ring))
+        except ParseError as exc:
+            raise ParseError(start + exc.position, exc.message) from None
+        start += len(src) + 1
+    return gens
+
+
 def cmd_oracle(args) -> int:
     ring = _ring(args.char, args.vars)
-    gens = [parse_poly(src, ring) for src in args.gens.split(",")]
+    gens = _parse_gens(args.gens, ring)
     ideal = IdealPresentation(gens, ring)
     engine = local_length(ideal, args.step_cap)
     oracle = truncation_length_oracle(ideal, args.degree_cap)

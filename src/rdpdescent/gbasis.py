@@ -60,13 +60,16 @@ multiple of the leading one), and a wrong basis would be much worse than a
 few redundant reductions.
 
 Chain criterion.  Under both orderings the completion drops pairs by the
-Gebauer-Moeller update (On an installation of Buchberger's algorithm, JSC
-1988) when element k joins the basis: (B) every queued pair (i, j) with
-LM(k) | lcm(i, j) and lcm(i, k) != lcm(i, j) != lcm(j, k); (M) every new
-pair (i, k) whose lcm is a proper multiple of another new pair's; (F) all
-but one new pair per lcm.  Each rule is an identity among the syzygies
-s_ij = (lcm(i, j)/LT(g_i)) e_i - (lcm(i, j)/LT(g_j)) e_j of the leading
-terms, which involves divisibility and no ordering: under B, s_ij is a
+Gebauer-Moeller rules (On an installation of Buchberger's algorithm, JSC
+1988).  When element k joins the basis, it queues none of (M) the new
+pairs (i, k) whose lcm is a proper multiple of another new pair's, and
+(F) all but one new pair per lcm.  When a pair (i, j) is popped, it is
+dropped under (B) if some later element k > j has LM(k) | lcm(i, j) and
+lcm(i, k) != lcm(i, j) != lcm(j, k).  Leading monomials never change
+during the completion, so B at pop time drops exactly the queued pairs
+that the classical update drops as each k joins.  Each rule is an
+identity among the syzygies s_ij = (lcm(i, j)/LT(g_i)) e_i -
+(lcm(i, j)/LT(g_j)) e_j of the leading terms, which involves divisibility and no ordering: under B, s_ij is a
 combination of monomial multiples of s_ik and s_jk, whose lcms properly
 divide lcm(i, j); under M, the dropped s_ik is one of s_jk, whose lcm
 properly divides lcm(i, k), and of s_ij, whose lcm divides it and whose
@@ -105,7 +108,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineLimitError, UsageError
 from .poly import (Mono, OrderingTag, Polynomial, Ring, inv_mod, mono_deg,
@@ -366,22 +369,28 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     """Complete generators to a Groebner basis (global) or standard basis
     (local) of the ideal they generate.
 
+    Every element enters the basis through one step, `add`: the prepared
+    generators in order, then each nonzero S-pair remainder.  The step
+    cuts the element at the current corner and appends it; under the
+    local ordering it sweeps the staircase of the leading monomials and,
+    when the corner falls, cuts the whole basis at it; then it queues the
+    element's pairs with the earlier ones under rules F and M (module
+    docstring).
+
     Pair selection is the normal strategy: minimal lcm degree first, ties
     broken by the lcm monomial and the pair indices for reproducibility.
-    Each pair is ranked once, when it is created, by (deg lcm, key of lcm,
-    j, i), and queued on a binary heap; the indices make every rank
-    unique, so the pop order is fully determined.
-    Under the local ordering the completion truncates at the highest
-    corner as soon as the leading monomials reveal it (module docstring),
-    and a pair whose lcm has degree >= corner is never queued.  When the
-    corner falls, the queue is left as it is: `_cut_at` keeps every
-    leading monomial, so the ranks stay correct, and since they lead with
-    the lcm degree, pairs at or above the new corner are the last in the
-    queue.  The first one popped therefore ends the completion, and it
-    costs no work, as if the pairs had been dropped when the corner fell.
-    The Gebauer-Moeller update (module docstring) runs as each element
-    joins: the new pairs it drops are never queued, and the queued pairs
-    it kills stay on the heap, marked dead, and cost nothing when popped.
+    Each pair is ranked once, when it is queued, by (deg lcm, key of lcm,
+    j, i), on a binary heap; the indices make every rank unique, so the
+    pop order is fully determined.  A pair whose lcm has degree >= corner
+    is never queued.  When the corner falls, the queue is left as it is:
+    `_cut_at` keeps every leading monomial, so the ranks stay correct, and
+    since they lead with the lcm degree, pairs at or above the new corner
+    are the last in the queue.  The first one popped therefore ends the
+    completion, and it costs no work, as if the pairs had been dropped
+    when the corner fell.  Rule B is applied to a pair (i, j) when it is
+    popped, against every element k > j: leading monomials never change,
+    so this drops the pairs that an update as each k joins would drop, and
+    a dropped pair costs nothing.
     """
     gens = list(gens)
     if not gens:
@@ -392,42 +401,28 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     budget = _Budget(step_cap)
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
 
-    basis = _prepare(gens)
-    if not basis:
-        return StandardBasis((), ring)
-
-    # The leading monomials, which `_cut_at` keeps, and the ecarts.
-    lms = [g.lm() for g in basis]
-    ecarts = [g.ecart() for g in basis]
+    basis: List[Polynomial] = []
+    lms: List[Mono] = []  # the leading monomials, which `_cut_at` keeps
+    ecarts: List[int] = []
     corner = stair = None  # stair: the last sweep of lms, which the returned basis takes over
-
-    def lower_corner():
-        """Sweep the staircase of the leading monomials (local ordering);
-        when the corner falls, cut the basis at it."""
-        nonlocal corner, stair
-        stair = _staircase(lms)
-        if stair[1] is not None and (corner is None or stair[1] < corner):
-            corner = stair[1]
-            basis[:] = [_cut_at(g, corner) for g in basis]
-            ecarts[:] = [g.ecart() for g in basis]
-
-    if not is_global:
-        lower_corner()
-
     # (deg lcm, key of lcm, j, i, lcm) for the pair (i, j), i < j
     queue: List[Tuple[int, int, int, int, Mono]] = []
-    live: Dict[Tuple[int, int], Mono] = {}  # the queued pairs not yet popped or killed
 
-    def insert(k):
-        """Queue the pairs of basis[k] with the earlier elements, and kill the
-        queued pairs it makes redundant (Gebauer-Moeller; module docstring)."""
-        lmk = lms[k]
+    def add(g):
+        nonlocal corner, stair
+        if corner is not None:
+            g = _cut_at(g, corner)
+        basis.append(g)
+        lms.append(g.lm())
+        ecarts.append(g.ecart())
+        if not is_global:
+            stair = _staircase(lms)
+            if stair[1] is not None and (corner is None or stair[1] < corner):
+                corner = stair[1]
+                basis[:] = [_cut_at(b, corner) for b in basis]
+                ecarts[:] = [b.ecart() for b in basis]
+        k, lmk = len(lms) - 1, lms[-1]
         lcms = [mono_lcm(m, lmk) for m in lms[:k]]
-        # B: (i, j) is a chain through k when LM(k) | lcm(i, j) and both
-        # lcm(i, k) and lcm(j, k) are proper divisors of lcm(i, j).
-        for (i, j), lcm in list(live.items()):
-            if lcms[i] != lcm and lcms[j] != lcm and mono_divides(lmk, lcm):
-                del live[(i, j)]
         # F: one new pair per lcm, a coprime one if there is one (the
         # product criterion then skips it), else the first.
         kept = {}
@@ -444,34 +439,28 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
             if any(mono_divides(m, lcm) for m in minimal):
                 continue
             minimal.append(lcm)
-            i = kept[lcm]
-            live[(i, k)] = lcm
-            heapq.heappush(queue, (d, ring.key(lcm), k, i, lcm))
+            heapq.heappush(queue, (d, ring.key(lcm), k, kept[lcm], lcm))
 
-    for k in range(1, len(basis)):
-        insert(k)
+    for g in _prepare(gens):
+        add(g)
+    if not basis:
+        return StandardBasis((), ring)
 
     while queue:
         d, _, j, i, lcm = heapq.heappop(queue)
         if corner is not None and d >= corner:
             break  # queued before the corner fell, and so is everything left
-        if live.pop((i, j), None) is None:
-            continue  # killed by a later element: costs nothing
+        # B: (i, j) is a chain through a later k when LM(k) | lcm(i, j) and
+        # both lcm(i, k) and lcm(j, k) are proper divisors of lcm(i, j).
+        if any(mono_divides(m, lcm) and mono_lcm(lms[i], m) != lcm != mono_lcm(lms[j], m)
+               for m in lms[j + 1:]):
+            continue  # costs nothing
         budget.spend()
         if is_global and lcm == mono_mul(lms[i], lms[j]):
             continue  # coprime leading monomials: S-pair reduces to zero
-        s = spoly(basis[i], basis[j], corner)
-        h = _reduce(s, basis, budget, corner, ecarts=ecarts)
-        if h.is_zero:
-            continue
-        h = h.monic()
-        basis.append(h)
-        lms.append(h.lm())
-        ecarts.append(h.ecart())
-        if not is_global:
-            # h is truncated, so its leading monomial has degree < corner
-            lower_corner()
-        insert(len(basis) - 1)
+        h = _reduce(spoly(basis[i], basis[j], corner), basis, budget, corner, ecarts=ecarts)
+        if not h.is_zero:
+            add(h.monic())  # truncated, so its leading monomial has degree < corner
 
     return _minimalize(basis, ring, budget, is_global, stair)
 

@@ -344,13 +344,13 @@ class _OracleRun:
 
 
 def _oracle_run(ideal: IdealPresentation, degree_cap: int) -> Tuple[object, Optional[_OracleRun]]:
+    if degree_cap < 3:
+        raise UsageError("degree cap must be at least 3")
     gens = [g for g in ideal.gens if not g.is_zero]
     if any(g.constant_coeff() != 0 for g in gens):
         return 0, None
     if not gens:
         return UNSTABLE, None
-    if degree_cap < 3:
-        raise UsageError("degree cap must be at least 3")
     n = gens[0].ring.nvars
     workdeg = min(degree_cap, max(6, max(g.degree() for g in gens) + 2))
     while True:

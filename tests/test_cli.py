@@ -178,6 +178,25 @@ def test_oracle_trivial(capsys):
     assert payload["engine_length"] == 1 and payload["oracle_length"] == 1
 
 
+@pytest.mark.parametrize("gens, position", [("x^2,y^^2", 6), ("x,", 2)])
+def test_oracle_parse_error_positions_are_offsets_into_gens(capsys, gens, position):
+    code, out, err = run(capsys, "oracle", "--char", "2", "--gens", gens, "--json")
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    note = json.loads(line)
+    assert note["error"] == "parse error" and note["position"] == position
+
+
+@pytest.mark.parametrize("gens, cap", [("1+x", "2"), ("0", "-7")])
+def test_oracle_degree_cap_is_checked_for_trivial_ideals(capsys, gens, cap):
+    code, out, err = run(capsys, "oracle", "--char", "2", "--gens", gens,
+                         "--degree-cap", cap, "--json")
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    note = json.loads(line)
+    assert note["error"] == "usage error" and "degree cap" in note["message"]
+
+
 def test_oracle_e6_0_bracket(capsys):
     code, payload, _ = run_json(
         capsys, "oracle", "--char", "2",
@@ -201,6 +220,54 @@ def test_text_output_mentions_note_for_e6_0(capsys):
     assert code == 0
     assert "E_6^0" in out
     assert "discrepancy" in out or "note" in out.lower()
+
+
+def test_analyze_text_mode(capsys):
+    code, out, err = run(capsys, "analyze", "--char", "2", "--vars", "x,y,z",
+                         "--poly", "z^2+x^3+y^5+y^3*z")
+    assert code == 1
+    assert out.startswith("equation: z^2+x^3+y^3*z+y^5   (p = 2, vars = x,y,z)\n")
+    assert "verdict: BLOCKED  [LENGTH_FORMULA, THETA_FREE, INVERTIBLE_SUMMAND]\n" in out
+    assert "elapsed: " in out
+    [line] = err.splitlines()
+    assert json.loads(line)["verdict"] == "BLOCKED"
+
+
+def test_analyze_over_the_step_cap_prints_the_report_and_exits_3(capsys):
+    code, out, err = run(capsys, "analyze", "--char", "2",
+                         "--poly", "z^2+x^3+y^5+y^3*z", "--step-cap", "6")
+    assert code == 3
+    statuses = {line.split()[0]: line.split()[1] for line in out.splitlines()
+                if line.startswith("  ")}
+    assert len(statuses) == 8
+    assert statuses["INVERTIBLE_SUMMAND"] == "UNDECIDED"
+    assert "verdict: BLOCKED  [LENGTH_FORMULA, THETA_FREE]\n" in out
+    [line] = err.splitlines()
+    assert json.loads(line) == {"error": "engine limit", "verdict": "BLOCKED"}
+
+
+def test_tables_text_mode(capsys):
+    code, out, err = run(capsys, "tables", "--char", "3")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[0] == "E-type rational double points, characteristic 3"
+    assert lines[1].split() == ["class", "equation", "pi1", "computed", "stored", "theta", "match"]
+    assert lines[3].split() == ["E_6^0", "z^2+x^3+y^4", "0", "9,81", "9,81", "yes/yes", "ok"]
+    assert lines[-1] == "all rows match"
+
+
+def test_oracle_text_mode(capsys):
+    code, out, err = run(capsys, "oracle", "--char", "2",
+                         "--gens", "x^2,y^4+y^2*z,y^3,z^2+x^3+y^5+y^3*z")
+    assert code == 0 and err == ""
+    assert out.splitlines() == [
+        "generators: x^2, y^2*z+y^4, y^3, z^2+x^3+y^3*z+y^5  (p = 2)",
+        "engine length: 10", "oracle length: 10", "lengths agree"]
+    code, out, err = run(capsys, "oracle", "--char", "2", "--gens", "x,y")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1:] == [
+        "engine length: INFINITE",
+        "oracle length: UNSTABLE (no stabilization below degree cap 64)"]
 
 
 def test_group_power_is_accepted(capsys):

@@ -14,7 +14,7 @@ from rdpdescent import (INFINITE, HypersurfaceGerm, IdealPresentation,
                         bracket_ideal, contains, is_parameter_ideal,
                         jacobian_ideal, local_length, parse_poly,
                         truncation_contains, truncation_length_oracle)
-from rdpdescent.ideals import _oracle_run, _OracleRun
+from rdpdescent.ideals import DEFAULT_DEGREE_CAP, _oracle_run, _OracleRun
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
@@ -187,6 +187,19 @@ def test_positive_dimensional_is_infinite():
     assert local_length(ideal_of(["x", "y"])) == INFINITE
 
 
+def test_global_presentation_is_measured_in_the_localization():
+    # A presentation over a global-ordering ring is converted by
+    # IdealPresentation.local() before its length is counted.
+    g = HypersurfaceGerm(parse_poly(E8_3, Ring(2, ("x", "y", "z"))))
+    J = jacobian_ideal(g)
+    assert J.ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
+    assert local_length(J) == 10
+    assert local_length(bracket_ideal(J, g)) == 44
+    # x + x^2 = x*(1 + x) has global colength 2, local length 1
+    r = Ring(2, ("x",))
+    assert local_length(IdealPresentation([parse_poly("x+x^2", r)], r)) == 1
+
+
 # -- membership -------------------------------------------------------------------
 
 def test_contains_zero():
@@ -211,6 +224,16 @@ def test_contains_positive_case():
     r = lring()
     assert contains(I, parse_poly("x^2*z+y^3*z", r))
     assert contains(I, parse_poly("y^5", r))
+
+
+def test_membership_in_a_global_presentation_is_local():
+    # contains converts the element to the local ring of the basis
+    r = Ring(2, ("x", "y", "z"))
+    I = IdealPresentation([parse_poly(s, r) for s in ("x^2+y^3", "y^4", "z^2")], r)
+    assert contains(I, parse_poly("y^5", r))
+    assert not contains(I, parse_poly("x*y^2+x^2*z", r))
+    line = Ring(2, ("x",))
+    assert contains(IdealPresentation([parse_poly("x+x^2", line)], line), parse_poly("x", line))
 
 
 # -- parameter ideals --------------------------------------------------------------
@@ -255,6 +278,22 @@ def test_oracle_squares():
 def test_oracle_unit_and_unstable():
     assert truncation_length_oracle(ideal_of(["1+x"])) == 0
     assert truncation_length_oracle(ideal_of(["x", "y"]), degree_cap=12) is UNSTABLE
+
+
+def test_oracle_gives_up_at_its_column_bound(monkeypatch):
+    # (x, y) in three variables never stabilizes; the working degree grows
+    # until the monomials below it would exceed _MAX_COLUMNS, well before
+    # the default degree cap of 64.
+    workdegs = []
+    real_run = rdpdescent.ideals._OracleRun
+
+    def logged_run(gens, workdeg):
+        workdegs.append(workdeg)
+        return real_run(gens, workdeg)
+
+    monkeypatch.setattr(rdpdescent.ideals, "_OracleRun", logged_run)
+    assert truncation_length_oracle(ideal_of(["x", "y"])) is UNSTABLE
+    assert workdegs and max(workdegs) < DEFAULT_DEGREE_CAP
 
 
 def test_oracle_membership():
