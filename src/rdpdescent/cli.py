@@ -29,7 +29,7 @@ from typing import List, Optional
 
 from . import catalog
 from .criteria import (BLOCKED, DESCENDS, NOT_APPLICABLE, PASS, UNDECIDED,
-                       UNDETERMINED, length_formula, run_battery)
+                       UNDETERMINED, run_battery, theta_free)
 from .errors import EngineLimitError, UsageError
 from .gbasis import DEFAULT_STEP_CAP
 # jacobian_ideal and bracket_ideal are not called here; they stay names of
@@ -98,7 +98,7 @@ def cmd_analyze(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _recompute_row(rec, step_cap: Optional[int]) -> dict:
-    report = length_formula(rec.germ(), step_cap)
+    report = theta_free(rec.germ(), step_cap)
     lj, ljp = report.witness["len_jacobian"], report.witness["len_bracket"]
     theta = None if report.status == NOT_APPLICABLE else report.status == PASS
     return {
@@ -225,8 +225,9 @@ def cmd_oracle(args) -> int:
     ring = _ring(args.char, args.vars)
     gens = _parse_gens(args.gens, ring)
     ideal = IdealPresentation(gens, ring)
-    engine = local_length(ideal, args.step_cap)
+    # The oracle first: it owns the --degree-cap check, so a bad cap costs no completion.
     oracle = truncation_length_oracle(ideal, args.degree_cap)
+    engine = local_length(ideal, args.step_cap)
     agree = engine == oracle if oracle is not UNSTABLE else None
     payload = {
         "input": {"char": args.char, "vars": list(ring.names),

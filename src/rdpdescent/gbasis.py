@@ -351,12 +351,6 @@ def _staircase(lms: Sequence[Mono]) -> tuple:
     return count, corner
 
 
-def _corner_degree(lms: Sequence[Mono]) -> Optional[int]:
-    """The least D such that every monomial of degree D is divisible by one
-    of lms; None when some variable has no pure power among lms."""
-    return _staircase(lms)[1]
-
-
 def _cut_at(g: Polynomial, corner: int) -> Polynomial:
     """A basis element modulo m^corner: its terms of lower degree, or its
     leading monomial alone when that has degree >= corner."""
@@ -375,7 +369,8 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     local ordering it sweeps the staircase of the leading monomials and,
     when the corner falls, cuts the whole basis at it; then it queues the
     element's pairs with the earlier ones under rules F and M (module
-    docstring).
+    docstring).  Rule M is `_minimal` over the new lcms by increasing
+    degree, once those at or above the corner have been dropped.
 
     Pair selection is the normal strategy: minimal lcm degree first, ties
     broken by the lcm monomial and the pair indices for reproducibility.
@@ -431,15 +426,10 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
                 kept[lcm] = i
         # M: no new pair whose lcm is a proper multiple of another's.  By
         # increasing degree, it suffices to test the lcms kept so far.
-        minimal: List[Mono] = []
-        for lcm in sorted(kept, key=mono_deg):
-            d = mono_deg(lcm)
-            if corner is not None and d >= corner:
-                break
-            if any(mono_divides(m, lcm) for m in minimal):
-                continue
-            minimal.append(lcm)
-            heapq.heappush(queue, (d, ring.key(lcm), k, kept[lcm], lcm))
+        below = [lcm for lcm in sorted(kept, key=mono_deg)
+                 if corner is None or mono_deg(lcm) < corner]
+        for lcm in _minimal(below):
+            heapq.heappush(queue, (mono_deg(lcm), ring.key(lcm), k, kept[lcm], lcm))
 
     for g in _prepare(gens):
         add(g)
@@ -506,7 +496,7 @@ def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None)
     """
     gens = basis.gens
     corner = (None if basis.ordering == OrderingTag.GLOBAL_DEGREVLEX
-              else _corner_degree(basis.leading_monomials()))
+              else _staircase(basis.leading_monomials())[1])
     ecarts = [g.ecart() for g in gens]
     for i, j in itertools.combinations(range(len(gens)), 2):
         if not _reduce(spoly(gens[i], gens[j]), gens, _Budget(step_cap), corner,

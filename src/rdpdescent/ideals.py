@@ -29,15 +29,15 @@ every variable is visible inside the row space before it reports a value.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from heapq import heapify, heappop, heappush
-from itertools import accumulate
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import UsageError
 from .gbasis import (INFINITE, StandardBasis, complete_basis, normal_form,
                      standard_monomial_count)
-from .poly import Mono, OrderingTag, Polynomial, Ring, inv_mod, mono_deg
+from .poly import Mono, OrderingTag, Polynomial, Ring, inv_mod
 
 
 class _Unstable:
@@ -264,18 +264,17 @@ class _Echelon:
                         del row[j]
         return None
 
-    def insert(self, row: Dict[int, int]) -> Optional[int]:
-        """Add a row (consumed) to the echelon form; return its new pivot
-        column, or None if it was already in the row space."""
+    def insert(self, row: Dict[int, int]) -> None:
+        """Add a row (consumed) to the echelon form, unless it lies in the
+        row space."""
         col = self._sweep(row)
         if col is None:
-            return None
+            return
         p = self.p
         inv = inv_mod(row[col], p)
         if inv != 1:
             row = {j: (v * inv) % p for j, v in row.items()}
         self.pivot_rows[col] = row
-        return col
 
     def member(self, row: Dict[int, int]) -> bool:
         return self._sweep(dict(row)) is None
@@ -283,8 +282,8 @@ class _Echelon:
 
 class _OracleRun:
     """One elimination run at working degree D: the image of the ideal in
-    R/m^D, echelonized, with enough bookkeeping to read off lambda_d for
-    every d <= D and to answer membership questions."""
+    R/m^D, echelonized, from which lambda_d for every d <= D is read off
+    the pivot columns and membership questions are answered."""
 
     def __init__(self, gens: Sequence[Polynomial], workdeg: int):
         ring = gens[0].ring
@@ -292,18 +291,14 @@ class _OracleRun:
         self.workdeg = workdeg
         self.n = n = ring.nvars
         by_deg = _monomials_by_degree(n, workdeg - 1)
-        self.cols: List[Mono] = [m for level in by_deg for m in level]
-        self.index = {m: i for i, m in enumerate(self.cols)}
+        self.index = {m: i for i, m in enumerate(m for level in by_deg for m in level)}
         self.ech = _Echelon(self.p)
-        pivots = [0] * workdeg  # pivot columns of each degree
         for g in gens:
             o = g.order()
             for mdeg in range(workdeg - o):
                 for mult in by_deg[mdeg]:
-                    col = self.ech.insert(self._row(g, mult))
-                    if col is not None:
-                        pivots[mono_deg(self.cols[col])] += 1
-        self.pivots_below = list(accumulate(pivots, initial=0))
+                    self.ech.insert(self._row(g, mult))
+        self.pivots = sorted(self.ech.pivot_rows)
 
     def _row(self, g: Polynomial, mult: Mono) -> Dict[int, int]:
         """mult*g truncated below the working degree."""
@@ -316,9 +311,11 @@ class _OracleRun:
         return row
 
     def quotient_dim(self, d: int) -> int:
-        """lambda_d = dim R/(I + m^d): the monomials of degree < d, less
-        the pivots among them."""
-        return math.comb(d - 1 + self.n, self.n) - self.pivots_below[d]
+        """lambda_d = dim R/(I + m^d).  Columns run by degree, so the
+        monomials of degree < d are the first C(d - 1 + n, n) columns, and
+        lambda_d is their number less the pivot columns below it."""
+        below = math.comb(d - 1 + self.n, self.n)
+        return below - bisect_left(self.pivots, below)
 
     def pure_power_in_span(self, var: int, through: int) -> bool:
         for e in range(1, through + 1):

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import rdpdescent
-from rdpdescent import cli
+from rdpdescent import cli, ideals
 from rdpdescent.catalog import table_records
 from rdpdescent.cli import EXIT_OUTPUT_CLOSED, main
 
@@ -195,6 +195,38 @@ def test_oracle_degree_cap_is_checked_for_trivial_ideals(capsys, gens, cap):
     [line] = err.splitlines()
     note = json.loads(line)
     assert note["error"] == "usage error" and "degree cap" in note["message"]
+
+
+def test_oracle_degree_cap_is_checked_before_the_engine_runs(capsys, monkeypatch):
+    completions = []
+    complete_basis = ideals.complete_basis
+
+    def counted(*args, **kwargs):
+        completions.append(args)
+        return complete_basis(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "complete_basis", counted)
+    code, out, err = run(capsys, "oracle", "--char", "2",
+                         "--gens", "x^2,y^4+y^2*z,y^3,z^2+x^3+y^5+y^3*z", "--degree-cap", "2")
+    assert code == 2 and out == "" and completions == []
+    assert json.loads(err)["error"] == "usage error"
+
+
+def test_oracle_bad_degree_cap_wins_over_an_engine_limit(capsys):
+    code, out, err = run(capsys, "oracle", "--char", "2", "--gens", "x^2+y^3,x*y^2+x^2*z,z^2",
+                         "--degree-cap", "2", "--step-cap", "3", "--json")
+    assert code == 2 and out == ""
+    [line] = err.splitlines()
+    note = json.loads(line)
+    assert note["error"] == "usage error" and "degree cap" in note["message"]
+
+
+def test_oracle_on_the_zero_ideal(capsys):
+    code, payload, err = run_json(capsys, "oracle", "--char", "2", "--gens", "0")
+    assert code == 0 and err == ""
+    assert payload["engine_length"] == "INFINITE"
+    assert payload["oracle_length"] == "UNSTABLE"
+    assert payload["agree"] is None
 
 
 def test_oracle_e6_0_bracket(capsys):

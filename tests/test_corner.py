@@ -12,7 +12,7 @@ from rdpdescent import (EngineLimitError, OrderingTag, Ring, StandardBasis,
                         parse_poly, s_pairs_reduce_to_zero,
                         standard_monomial_count, truncation_length_oracle)
 from rdpdescent.catalog import table_records
-from rdpdescent.gbasis import INFINITE, _corner_degree, _staircase, spoly
+from rdpdescent.gbasis import INFINITE, _staircase, spoly
 from rdpdescent.ideals import (HypersurfaceGerm, bracket_ideal, jacobian_ideal,
                                local_length)
 
@@ -20,11 +20,11 @@ LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
 
 def test_corner_degree_examples():
-    assert _corner_degree([(2, 0), (0, 3)]) == 4       # x*y^2 is the top standard monomial
-    assert _corner_degree([(2, 0), (1, 1)]) is None    # no pure power of y
-    assert _corner_degree([(0, 0, 0), (1, 0, 0)]) == 0  # the unit ideal
-    assert _corner_degree([(5,)]) == 5
-    assert _corner_degree([(1, 0, 0), (0, 1, 0), (0, 0, 93)]) == 93
+    assert _staircase([(2, 0), (0, 3)])[1] == 4       # x*y^2 is the top standard monomial
+    assert _staircase([(2, 0), (1, 1)])[1] is None    # no pure power of y
+    assert _staircase([(0, 0, 0), (1, 0, 0)])[1] == 0  # the unit ideal
+    assert _staircase([(5,)])[1] == 5
+    assert _staircase([(1, 0, 0), (0, 1, 0), (0, 0, 93)])[1] == 93
 
 
 

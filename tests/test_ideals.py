@@ -278,6 +278,10 @@ def test_oracle_squares():
 def test_oracle_unit_and_unstable():
     assert truncation_length_oracle(ideal_of(["1+x"])) == 0
     assert truncation_length_oracle(ideal_of(["x", "y"]), degree_cap=12) is UNSTABLE
+    r = lring()
+    zero = IdealPresentation([r.zero()], r)
+    assert truncation_length_oracle(zero) is UNSTABLE
+    assert truncation_contains(zero, parse_poly("x", r)) is UNSTABLE
 
 
 def test_oracle_gives_up_at_its_column_bound(monkeypatch):

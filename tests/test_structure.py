@@ -8,10 +8,6 @@ import rdpdescent
 SOURCES = {path.stem: ast.parse(path.read_text())
            for path in sorted(pathlib.Path(rdpdescent.__file__).parent.glob("*.py"))}
 
-#: The truncation oracle: independent of the engine by construction.
-ORACLE = ("_Echelon", "_OracleRun", "_oracle_run", "_monomials_by_degree",
-          "truncation_length_oracle", "truncation_contains")
-
 
 def _private_definitions(node, prefix):
     """(qualified name, definition) of every private function and class
@@ -44,6 +40,18 @@ def test_every_private_helper_is_used():
     assert dead == []
 
 
+def _names_read(node):
+    """The bare names that code in node reads, outside type annotations."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        yield node.id
+    for field, value in ast.iter_fields(node):
+        if field in ("annotation", "returns"):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from _names_read(child)
+
+
 def test_the_truncation_oracle_loads_nothing_from_the_engine():
     tree = SOURCES["ideals"]
     engine = set()
@@ -55,8 +63,22 @@ def test_the_truncation_oracle_loads_nothing_from_the_engine():
                 engine.update(alias.asname or alias.name for alias in node.names
                               if alias.name == "gbasis")
     assert "complete_basis" in engine
-    defined = {node.name: node for node in tree.body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    for name in ORACLE:
-        used = sorted(_loaded_names(defined[name]) & engine)
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined[node.name] = node
+        elif isinstance(node, ast.Assign):
+            defined.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
+    # The oracle is what its two entry points reach through the module's
+    # own definitions; none of those may read a name taken from gbasis.
+    reached, todo = set(), ["truncation_length_oracle", "truncation_contains"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        read = set(_names_read(defined[name]))
+        used = sorted(read & engine)
         assert used == [], f"{name} loads {used} from gbasis"
+        todo.extend(read & defined.keys())
+    assert {"_oracle_run", "_OracleRun", "_Echelon"} <= reached
