@@ -379,12 +379,10 @@ def truncation_contains(ideal: IdealPresentation, g: Polynomial,
     stabilization m^d is known to lie inside it.  Returns True/False, or
     UNSTABLE when the oracle could not certify a length."""
     value, run = _oracle_run(ideal, degree_cap)
+    if g.is_zero or (run is None and value == 0):
+        return True  # 0 lies in every ideal, and g in one holding a unit
     if run is None:
-        if value == 0:
-            return True  # the ideal contains a unit
         return UNSTABLE
-    if g.is_zero:
-        return True
     # Truncating g below the working degree is sound: past stabilization,
     # every monomial of degree >= workdeg lies in the extended ideal.
     return run.ech.member(run._row(g, (0,) * g.ring.nvars))

@@ -8,9 +8,10 @@ Grammar (whitespace ignored everywhere):
             | variable ('^' positive-integer)?
             | '(' expr ')' ('^' positive-integer)?
 
-Integer literals of any size are accepted and reduced mod p, so equations
-written over the integers can be pasted directly.  Juxtaposition is NOT
-multiplication: 'xy' is an error unless 'xy' is a declared variable name.
+Integers and variable names are ASCII.  Integer literals of any size are
+reduced mod p, so equations over the integers can be pasted directly.
+Juxtaposition is NOT multiplication: 'xy' is an error unless 'xy' is a
+declared variable name.
 This is the wire format used by the CLI and the catalog file.
 
 Two bounds keep hostile input from exhausting the interpreter: groups
@@ -21,19 +22,24 @@ overflow is a ParseError.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Tuple
 
 from .errors import UsageError
-from .poly import MAX_EXPONENT, Mono, Polynomial, Ring, product_terms
+from .poly import _NAME, MAX_EXPONENT, Mono, Polynomial, Ring, product_terms
 
 #: Deepest accepted nesting of parenthesised groups.
 MAX_DEPTH = 100
 #: Term pairs that the products and powers of one parse may multiply.
 MAX_PRODUCT_WORK = 2 * 10 ** 5
 
+#: One token: ASCII digits, a variable name, any other non-space character,
+#: or "" at the end of the text.  finditer steps over whitespace.
+_TOKEN = re.compile(rf"(?P<int>[0-9]+)|(?P<name>{_NAME.pattern})|\S|\Z")
+
 
 class ParseError(UsageError):
-    """Syntax or lookup error, with the byte offset where it happened."""
+    """Syntax or lookup error, with the character offset where it happened."""
 
     def __init__(self, position: int, message: str):
         self.position = position
@@ -42,35 +48,24 @@ class ParseError(UsageError):
 
 
 class _Parser:
+    """Reads _TOKEN one token ahead: `tok` is the token's text, `pos` its
+    offset and `kind` its group, "int", "name" or None."""
+
     def __init__(self, src: str, ring: Ring):
-        self.src = src
         self.ring = ring
-        self.n = len(src)
-        self.pos = 0
-        self.depth = 0
-        self.work = 0
+        self.tokens = _TOKEN.finditer(src)
+        self.depth = self.work = 0
+        self._next()
 
-    def _skip_ws(self):
-        while self.pos < self.n and self.src[self.pos].isspace():
-            self.pos += 1
-
-    def _peek(self) -> str:
-        self._skip_ws()
-        return self.src[self.pos] if self.pos < self.n else ""
-
-    def _digits(self) -> str:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < self.n and self.src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(start, "expected an integer")
-        return self.src[start:self.pos]
+    def _next(self):
+        m = next(self.tokens)
+        self.tok, self.pos, self.kind = m.group(), m.start(), m.lastgroup
 
     def _integer(self) -> int:
-        """An integer literal reduced mod p, read in chunks because int()
-        refuses strings of more than a few thousand digits."""
-        digits = self._digits()
+        """The integer literal at `tok` reduced mod p, read in chunks because
+        int() refuses strings of more than a few thousand digits."""
+        digits = self.tok
+        self._next()
         p = self.ring.p
         value = 0
         for k in range(0, len(digits), 1000):
@@ -78,27 +73,17 @@ class _Parser:
             value = (value * pow(10, len(chunk), p) + int(chunk)) % p
         return value
 
-    def _identifier(self) -> Tuple[int, str]:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < self.n and (self.src[self.pos].isalnum() or self.src[self.pos] == "_"):
-            self.pos += 1
-        return start, self.src[start:self.pos]
-
     # Terms are carried around as {monomial: coeff} dicts and only packed
     # into a Polynomial at the very end.
 
     def expr(self) -> Dict[Mono, int]:
         acc = self.term()
-        while True:
-            ch = self._peek()
-            if ch != "+" and ch != "-":
-                return acc
-            self.pos += 1
-            rhs = self.term()
-            sign = 1 if ch == "+" else -1
-            for m, c in rhs.items():
+        while self.tok == "+" or self.tok == "-":
+            sign = 1 if self.tok == "+" else -1
+            self._next()
+            for m, c in self.term().items():
                 acc[m] = acc.get(m, 0) + sign * c
+        return acc
 
     def _product(self, a: Dict[Mono, int], b: Dict[Mono, int], at: int) -> Dict[Mono, int]:
         self.work += len(a) * len(b)
@@ -108,27 +93,26 @@ class _Parser:
 
     def term(self) -> Dict[Mono, int]:
         acc = self.factor()
-        while self._peek() == "*":
+        while self.tok == "*":
             at = self.pos
-            self.pos += 1
+            self._next()
             acc = self._product(acc, self.factor(), at)
         return acc
 
     def _exponent(self) -> Tuple[int, int]:
         """The optional '^' positive-integer after a factor: (position, e)."""
-        if self._peek() != "^":
+        if self.tok != "^":
             return self.pos, 1
-        self.pos += 1
-        epos = self.pos
-        self._skip_ws()
-        if self.pos >= self.n or not self.src[self.pos].isdigit():
+        epos = self.pos + 1
+        self._next()
+        if self.kind != "int":
             raise ParseError(epos, "malformed exponent: expected a positive integer")
-        digits = self._digits()
-        if len(digits) > 9:
-            raise ParseError(epos, f"exponent overflow: {len(digits)}-digit exponent")
-        e = int(digits)
+        if len(self.tok) > 9:
+            raise ParseError(epos, f"exponent overflow: {len(self.tok)}-digit exponent")
+        e = int(self.tok)
         if e < 1:
             raise ParseError(epos, "malformed exponent: must be >= 1")
+        self._next()
         return epos, e
 
     def _power(self, base: Dict[Mono, int], e: int, at: int) -> Dict[Mono, int]:
@@ -143,51 +127,47 @@ class _Parser:
         return acc
 
     def factor(self) -> Dict[Mono, int]:
-        ch = self._peek()
-        if ch == "":
-            raise ParseError(self.pos, "unexpected end of input")
-        unit: Mono = (0,) * self.ring.nvars
-        if ch.isdigit():
-            return {unit: self._integer()}
+        ch, at, kind = self.tok, self.pos, self.kind
+        if kind == "int":
+            return {(0,) * self.ring.nvars: self._integer()}
         if ch == "(":
             if self.depth == MAX_DEPTH:
-                raise ParseError(self.pos, f"parentheses nested deeper than {MAX_DEPTH}")
+                raise ParseError(at, f"parentheses nested deeper than {MAX_DEPTH}")
             self.depth += 1
-            self.pos += 1
+            self._next()
             inner = self.expr()
-            if self._peek() != ")":
+            if self.tok != ")":
                 raise ParseError(self.pos, "unbalanced parentheses: expected ')'")
-            self.pos += 1
+            self._next()
             self.depth -= 1
             epos, e = self._exponent()
             return inner if e == 1 else self._power(inner, e, epos)
-        if ch.isalpha() or ch == "_":
-            start, name = self._identifier()
+        if kind == "name":
             try:
-                idx = self.ring.names.index(name)
+                idx = self.ring.names.index(ch)
             except ValueError:
                 hint = ""
-                if len(name) > 1 and all(c in self.ring.names for c in name):
+                if len(ch) > 1 and all(c in self.ring.names for c in ch):
                     hint = " (juxtaposition is not multiplication; write explicit '*')"
-                raise ParseError(start, f"unknown variable {name!r}{hint}") from None
+                raise ParseError(at, f"unknown variable {ch!r}{hint}") from None
+            self._next()
             _, e = self._exponent()
             exps = [0] * self.ring.nvars
             exps[idx] = e
             return {tuple(exps): 1}
-        raise ParseError(self.pos, f"unexpected character {ch!r}")
+        raise ParseError(at, f"unexpected character {ch!r}" if ch else "unexpected end of input")
 
 
 def parse_poly(src: str, ring: Ring) -> Polynomial:
     """Parse src into a polynomial of the given ambient ring.
 
-    Every failure raises ParseError carrying the offending byte offset;
+    Every failure raises ParseError carrying the offending character offset;
     the parser never crashes on malformed text.
     """
     if not isinstance(src, str) or not src.strip():
         raise ParseError(0, "empty input")
     parser = _Parser(src, ring)
     acc = parser.expr()
-    parser._skip_ws()
-    if parser.pos != parser.n:
+    if parser.tok:
         raise ParseError(parser.pos, f"unexpected trailing input {src[parser.pos:]!r}")
     return ring.poly(acc)

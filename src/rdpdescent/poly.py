@@ -51,6 +51,7 @@ which a key does not expose.
 from __future__ import annotations
 
 import enum
+import re
 from operator import add, le, mul, sub
 from typing import Collection, Dict, Iterable, List, Sequence, Tuple
 
@@ -119,7 +120,9 @@ def _key_weights(n: int, ordering: OrderingTag) -> Tuple[int, ...]:
     return tuple(top + sum(1 << (width * k) for k in range(i, n - 1)) for i in range(n))
 
 
-_NAME_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_0123456789")
+#: A variable name: an ASCII letter or '_', then ASCII letters, digits and
+#: '_'.  The parser scans names with the same pattern.
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class Ring:
@@ -135,11 +138,11 @@ class Ring:
         names = tuple(names)
         if not names:
             raise UsageError("a ring needs at least one variable")
+        for nm in names:
+            if not isinstance(nm, str) or not _NAME.fullmatch(nm):
+                raise UsageError(f"bad variable name {nm!r}")
         if len(set(names)) != len(names):
             raise UsageError(f"variable names must be distinct: {names}")
-        for nm in names:
-            if not nm or nm[0].isdigit() or not set(nm) <= _NAME_OK:
-                raise UsageError(f"bad variable name {nm!r}")
         if not isinstance(ordering, OrderingTag):
             raise UsageError(f"unknown ordering {ordering!r}")
         self.p = p

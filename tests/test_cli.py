@@ -63,10 +63,13 @@ def test_analyze_two_variables(capsys):
     assert payload["verdict"]["outcome"] == "DESCENDS"  # u^2 + v^3 splits off u^2
 
 
-def test_parse_error_exit_code_and_position(capsys):
-    code, out, err = run(capsys, "analyze", "--char", "2", "--poly", "z^2+(x")
+@pytest.mark.parametrize("poly", ["z^2+(x", "x^\u00b2", "\u00b2"])
+def test_parse_error_exit_code_and_position(capsys, poly):
+    # Non-ASCII digits are not integers: a parse error, never a traceback.
+    code, out, err = run(capsys, "analyze", "--char", "2", "--poly", poly)
     assert code == 2
-    note = json.loads(err.splitlines()[0])
+    assert len(err.splitlines()) == 1
+    note = json.loads(err)
     assert note["error"] == "parse error"
     assert isinstance(note["position"], int)
 
@@ -80,7 +83,11 @@ def test_engine_limit_exit_code(capsys):
     code, out, err = run(capsys, "analyze", "--char", "2",
                          "--poly", "z^2+x^3+y^5+y^3*z", "--step-cap", "5")
     assert code == 3
-    note = json.loads(err.splitlines()[0])
+    # No partial report: perfbench/checks.py counts an exit 3 with empty
+    # stdout as a failed germ, and a report without its lengths as wrong.
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    note = json.loads(err)
     assert note["error"] == "engine limit"
 
 

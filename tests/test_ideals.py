@@ -309,6 +309,16 @@ def test_oracle_membership():
                                degree_cap=8) is UNSTABLE
 
 
+def test_oracle_membership_of_zero():
+    # 0 lies in every ideal, also where the oracle certifies no length.
+    r = lring()
+    zero = IdealPresentation([r.zero()], r)
+    assert truncation_contains(zero, r.zero()) is True
+    assert truncation_contains(ideal_of(["x", "y"]), r.zero(), degree_cap=8) is True
+    with pytest.raises(UsageError):
+        truncation_contains(zero, r.zero(), degree_cap=2)
+
+
 def test_oracle_matches_engine_on_sample():
     cases = [
         (2, ["x^2", "y^2*z", "y^3", "z^2"]),

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -150,7 +151,9 @@ def test_integer_factor_and_products():
 
 def test_errors_never_crash_fuzz():
     rng = random.Random(99)
-    alphabet = "xyz^*+-() 0123456789w"
+    # Non-ASCII digits, letters and spaces among them: superscript two,
+    # Arabic-Indic one, e acute, no-break space.
+    alphabet = "xyz^*+-() 0123456789w\u00b2\u0661\u00e9\u00a0"
     r = ring()
     for _ in range(500):
         src = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 14)))
@@ -158,6 +161,19 @@ def test_errors_never_crash_fuzz():
             parse_poly(src, r)
         except ParseError as exc:
             assert 0 <= exc.position <= len(src)
+
+
+def test_scanning_is_lazy():
+    # The scanner reads one token ahead; a list of every token of this
+    # 80,000-character text peaks above 6 MiB on CPython 3.11.
+    src = "+".join(["x*y"] * 10_000)
+    tracemalloc.start()
+    try:
+        parse_poly(src, ring())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def random_poly(rng, r, max_terms=6, max_exp=5):

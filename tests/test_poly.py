@@ -51,6 +51,12 @@ def test_ambient_mismatch_raises():
         a * b
 
 
+@pytest.mark.parametrize("name", ["", "1x", "x-y", "x y", "\u00e9", "x\u00b2", 5, ["x"]])
+def test_bad_variable_names(name):
+    with pytest.raises(UsageError):
+        Ring(2, ("x", name))
+
+
 def test_arithmetic_matches_field_reference():
     # The raw-int coefficient arithmetic against sympy's GF(p), on random inputs.
     from sympy.polys.domains import GF
