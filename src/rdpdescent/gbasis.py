@@ -3,15 +3,15 @@ ordering, Mora).
 
 Every normal form, under either ordering, comes from one reduction loop,
 `_reduce`: Mora's weak normal form with ecart-minimizing reducer selection
-(Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.6),
-which can also return the certificate of its result.  Under the local
-ordering the working set of reducers grows with intermediate remainders,
-which is what makes the division terminate although the ordering is not
-a well-ordering.  Under the global degrevlex ordering every ecart is 0,
-so nothing joins the reducers and the first divisor is chosen: the loop
-is the plain multivariate division algorithm, and it moves irreducible
-leading terms to a remainder, so the result is fully reduced.
-Completion is Buchberger's pair loop under both orderings.
+(Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.6).
+Under the local ordering the working set of reducers grows with
+intermediate remainders, which is what makes the division terminate
+although the ordering is not a well-ordering.  Under the global
+degrevlex ordering every ecart is 0, so nothing joins the reducers and
+the first divisor is chosen: the loop is the plain multivariate division
+algorithm, and it moves irreducible leading terms to a remainder, so the
+result is fully reduced.  Completion is Buchberger's pair loop under
+both orderings.
 
 A Mora normal form is a *weak* normal form: u*f = sum q_i g_i + nf for
 some unit u of the localization, its leading monomial is irreducible, and
@@ -215,8 +215,8 @@ def spoly(f: Polynomial, g: Polynomial, corner: Optional[int] = None) -> Polynom
 
 
 def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
-            corner: Optional[int] = None, trace: bool = False,
-            ecarts: Optional[Sequence[int]] = None):
+            corner: Optional[int] = None,
+            ecarts: Optional[Sequence[int]] = None) -> Polynomial:
     """Normal form of f against gens: the one reduction loop of the engine.
 
     Each step cancels the leading term of the working polynomial h against
@@ -229,24 +229,16 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
     which makes the result fully reduced.  With a corner D, f and every
     reducer multiple are kept free of terms of degree >= D.  A caller that
     reduces against the same gens many times passes their ecarts.
-
-    With trace, returns (nf, u, quots) with u*f = sum(quots[i]*gens[i]) + nf
-    up to terms of degree >= corner, where u has a nonzero constant term
-    (a unit of the localization; 1 under the global ordering).
     """
     ring = f.ring
     p = ring.p
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
-    # (reducer, its ecart, its certificate): the index of a generator, or
-    # (u, quots) with reducer = u*f - sum quots[i]*gens[i] for a joined h.
     if ecarts is None:
         ecarts = [g.ecart() for g in gens]
-    reducers: List[Tuple[Polynomial, int, object]] = list(zip(gens, ecarts, itertools.count()))
+    reducers: List[Tuple[Polynomial, int]] = list(zip(gens, ecarts))
     h = _truncate(f, corner)
     remainder: List[Tuple[Mono, int]] = []
     remainder_keys: List[int] = []
-    if trace:
-        u, quots = ring.one(), [ring.zero()] * len(gens)
     while not h.is_zero:
         lm = h.lm()
         best = None
@@ -262,23 +254,16 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
             remainder_keys.append(h.keys[0])
             h = h.tail()
             continue
-        g, ec, cert = best
+        g, ec = best
         if ec:
             eh = h.ecart()
             if ec > eh:
-                reducers.append((h, eh, (u, tuple(quots)) if trace else None))
+                reducers.append((h, eh))
         budget.step(h, g)
         c = (h.lc() * inv_mod(g.lc(), p)) % p
         mult = mono_quot(lm, g.lm())
         h = h - _truncate(g, _below(corner, mult)).term_mul(c, mult)
-        if trace:
-            if isinstance(cert, int):
-                quots[cert] = quots[cert] + ring.poly({mult: c})
-            else:
-                u = u - cert[0].term_mul(c, mult)
-                quots = [q - gq.term_mul(c, mult) for q, gq in zip(quots, cert[1])]
-    nf = Polynomial(ring, tuple(remainder), remainder_keys) if is_global else h
-    return (nf, u, quots) if trace else nf
+    return Polynomial(ring, tuple(remainder), remainder_keys) if is_global else h
 
 
 def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynomial:

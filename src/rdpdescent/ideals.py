@@ -190,10 +190,10 @@ def local_length(ideal: IdealPresentation, step_cap: Optional[int] = None):
 
 def contains(ideal: IdealPresentation, g: Polynomial, step_cap: Optional[int] = None) -> bool:
     """Membership in the ideal extended to the local ring at the origin."""
-    if g.is_zero:
-        return True
     if g.ring != ideal.ring:
         raise UsageError("membership test across different ambient rings")
+    if g.is_zero:
+        return True
     basis = _local_basis(ideal, step_cap)
     loc = basis.ring
     g_loc = loc.poly(dict(g.terms)) if g.ring != loc else g
@@ -379,6 +379,8 @@ def truncation_contains(ideal: IdealPresentation, g: Polynomial,
     stabilization m^d is known to lie inside it.  Returns True/False, or
     UNSTABLE when the oracle could not certify a length."""
     value, run = _oracle_run(ideal, degree_cap)
+    if g.ring != ideal.ring:
+        raise UsageError("membership test across different ambient rings")
     if g.is_zero or (run is None and value == 0):
         return True  # 0 lies in every ideal, and g in one holding a unit
     if run is None:

@@ -151,7 +151,9 @@ class _Parser:
                     hint = " (juxtaposition is not multiplication; write explicit '*')"
                 raise ParseError(at, f"unknown variable {ch!r}{hint}") from None
             self._next()
-            _, e = self._exponent()
+            epos, e = self._exponent()
+            if e >= MAX_EXPONENT:
+                raise ParseError(epos, f"exponent overflow: {e} >= {MAX_EXPONENT}")
             exps = [0] * self.ring.nvars
             exps[idx] = e
             return {tuple(exps): 1}

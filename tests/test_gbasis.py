@@ -10,9 +10,9 @@ from rdpdescent import (EngineLimitError, INFINITE, OrderingTag, Ring,
                         s_pairs_reduce_to_zero, standard_monomial_count)
 from rdpdescent import gbasis
 from rdpdescent.catalog import instantiate
-from rdpdescent.gbasis import _Budget, _reduce
-from rdpdescent.ideals import (HypersurfaceGerm, IdealPresentation, bracket_ideal,
-                               jacobian_ideal, truncation_length_oracle)
+from rdpdescent.ideals import (UNSTABLE, HypersurfaceGerm, IdealPresentation, bracket_ideal,
+                               jacobian_ideal, truncation_contains, truncation_length_oracle)
+from rdpdescent.poly import mono_deg
 
 GLOBAL = OrderingTag.GLOBAL_DEGREVLEX
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
@@ -125,9 +125,41 @@ def test_spoly_cancels_leading_terms():
     assert s.lm() != tuple(max(a, b) for a, b in zip(f.lm(), g.lm()))
 
 
-# -- membership traces (soundness of reductions) ----------------------------
+# -- normal forms by independent routes ---------------------------------------
+# The defining properties of a normal form (Greuel-Pfister 1.6), checked by
+# routes that share no code with the reduction loop: sympy's division by its
+# own Groebner basis, and the truncation oracle's membership test.
 
-def test_reduction_trace_identity_global():
+
+def assert_no_lead_divides(nf, basis):
+    if not nf.is_zero:
+        lm = nf.lm()
+        assert not any(all(a <= b for a, b in zip(m, lm)) for m in basis.leading_monomials())
+
+
+def assert_oracle_relations(f, nf, gens, k=None):
+    # Mutual membership f in I + (nf), nf in I + (f) says that f and nf
+    # generate one principal ideal of the local ring O/I*O, so they differ
+    # by a unit of it: u*f = nf mod I*O.  With k, all of it modulo m^k.
+    ring = f.ring
+    if k is not None:
+        gens = list(gens) + [ring.poly({m: 1}) for m in
+                             itertools.product(range(k + 1), repeat=ring.nvars) if sum(m) == k]
+    ideal = IdealPresentation(gens)
+    member = truncation_contains(ideal, f)
+    assert member is not UNSTABLE
+    if k is None or nf.is_zero or mono_deg(nf.lm()) < k:
+        # Below degree k the leading ideal of I*O + m^k is that of I*O, so
+        # an irreducible leading monomial keeps nf out of I*O + m^k.
+        assert member is nf.is_zero
+    assert truncation_contains(IdealPresentation(gens + [f]), nf) is True
+    assert truncation_contains(IdealPresentation(gens + [nf]), f) is True
+
+
+def test_global_normal_form_is_sympy_remainder():
+    # Normal forms against a Groebner basis are unique, so the engine's
+    # remainder is sympy's remainder modulo sympy's own basis.
+    sympy = pytest.importorskip("sympy")
     rng = random.Random(41)
     done = 0
     while done < 60:
@@ -141,17 +173,18 @@ def test_reduction_trace_identity_global():
         if len(b) == 0:
             continue
         f = random_poly(rng, r, max_terms=4)
-        nf, unit, quots = _reduce(f, b.gens, _Budget(None), trace=True)
-        combo = r.zero()
-        for q, g in zip(quots, b.gens):
-            combo = combo + q * g
-        assert unit == r.one()
-        assert f == combo + nf
+        syms = sympy.symbols(r.names)
+        groebner = sympy.groebner([sympy.Poly.from_dict(dict(g.terms), *syms, modulus=p)
+                                   for g in gens], *syms, modulus=p, order="grevlex")
+        _, rem = groebner.reduce(sympy.Poly.from_dict(dict(f.terms), *syms, modulus=p))
+        theirs = {m: c % p for m, c in rem.as_dict().items() if c % p}
+        assert dict(normal_form(f, b).terms) == theirs, (p, gens, f)
         done += 1
 
 
-def test_reduction_trace_identity_local():
-    # Mora: u*f = sum q_i g_i + nf with u a unit of the localization
+def test_local_normal_form_by_oracle():
+    # Mora's weak normal form against the bare generator tuple, so no
+    # corner.  Where I has none, the oracle works on I + m^10.
     rng = random.Random(43)
     done = 0
     while done < 60:
@@ -165,18 +198,15 @@ def test_reduction_trace_identity_local():
         if len(b) == 0:
             continue
         f = random_poly(rng, r, max_terms=4)
-        nf, unit, quots = _reduce(f, b.gens, _Budget(None), trace=True)
-        combo = r.zero()
-        for q, g in zip(quots, b.gens):
-            combo = combo + q * g
-        assert unit.constant_coeff() != 0, "Mora multiplier must be a unit at the origin"
-        assert unit * f == combo + nf
+        nf = normal_form(f, tuple(b))
+        assert_no_lead_divides(nf, b)
+        assert_oracle_relations(f, nf, gens, None if b.corner is not None else 10)
         done += 1
 
 
-def test_reduction_trace_identity_local_at_corner():
-    # With the corner D of the basis, the production loop drops terms of
-    # degree >= D, which lie in the ideal: the certificate holds modulo m^D.
+def test_local_normal_form_at_corner():
+    # With the corner D of the basis, the normal form drops the terms of
+    # degree >= D, which lie in the ideal.
     rng = random.Random(44)
     done = 0
     while done < 60:
@@ -191,21 +221,17 @@ def test_reduction_trace_identity_local_at_corner():
         if b.corner is None:
             continue
         f = random_poly(rng, r, max_terms=6, max_exp=6)
-        nf, unit, quots = _reduce(f, b.gens, _Budget(None), b.corner, trace=True)
-        combo = r.zero()
-        for q, g in zip(quots, b.gens):
-            combo = combo + q * g
-        assert unit.constant_coeff() != 0, "Mora multiplier must be a unit at the origin"
-        assert nf == normal_form(f, b)
-        assert all(sum(m) < b.corner for m, _ in nf.terms)
-        assert all(sum(m) >= b.corner for m, _ in (unit * f - combo - nf).terms)
+        nf = normal_form(f, b)
+        assert all(mono_deg(m) < b.corner for m, _ in nf.terms)
+        assert_no_lead_divides(nf, b)
+        assert_oracle_relations(f, nf, gens)
         done += 1
     # x joins the reducers (ecart 0 below 1), and then cancels x^2:
     # (1 - x)*x = 1*(x - x^2)
     r = Ring(3, ("x", "y"), LOCAL)
     b = basis_of(["x-x^2", "y^3"], r)
-    nf, unit, quots = _reduce(parse_poly("x", r), b.gens, _Budget(None), b.corner, trace=True)
-    assert (b.corner, nf, unit, quots) == (3, r.zero(), parse_poly("1-x", r), [r.one(), r.zero()])
+    assert b.corner == 3
+    assert normal_form(parse_poly("x", r), b).is_zero
 
 
 # -- S-pair self-check suite -------------------------------------------------

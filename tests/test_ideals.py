@@ -319,6 +319,22 @@ def test_oracle_membership_of_zero():
         truncation_contains(zero, r.zero(), degree_cap=2)
 
 
+@pytest.mark.parametrize("p", [2, 5])
+def test_membership_across_rings_is_a_usage_error(p):
+    # y of a two-variable ring is no element of an ideal of three-variable
+    # polynomials, on either route, and neither is its zero.
+    I = ideal_of(["x^2", "y^2", "z^2"])
+    other = Ring(p, ("x", "y"), LOCAL)
+    for g in (parse_poly("y", other), other.zero()):
+        with pytest.raises(UsageError, match="different ambient rings"):
+            truncation_contains(I, g)
+        with pytest.raises(UsageError, match="different ambient rings"):
+            contains(I, g)
+    # The degree cap is checked first.
+    with pytest.raises(UsageError, match="degree cap"):
+        truncation_contains(I, parse_poly("y", other), degree_cap=2)
+
+
 def test_oracle_matches_engine_on_sample():
     cases = [
         (2, ["x^2", "y^2*z", "y^3", "z^2"]),

@@ -83,6 +83,17 @@ def test_expansion_is_bounded():
     assert "exponent overflow" in exc.value.message
 
 
+def test_variable_power_exponent_is_bounded():
+    # A variable's power gets the same bound and position as a group's.
+    r = ring()
+    for src, position in (("z^70000", 2), ("(z)^70000", 4)):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(src, r)
+        assert exc.value.position == position
+        assert exc.value.message == "exponent overflow: 70000 >= 65536"
+    assert parse_poly("z^65535", r).lm() == (0, 0, 65535)
+
+
 def test_integer_literals_longer_than_int_accepts():
     r = ring(p=3)
     # 5002 ones: the digit sum 5002 is 1 mod 3

@@ -134,12 +134,9 @@ def test_carried_keys_stay_fresh(case, bound):
     gens = [g] if h.is_zero else [g, h]
     try:
         nf = _reduce(f, gens, _Budget(2000), corner)
-        traced, u, quots = _reduce(f, gens, _Budget(2000), corner, trace=True)
         basis = complete_basis([f] + gens, step_cap=2000)
     except EngineLimitError:
         return
     assert_keys_fresh(nf, "_reduce")
-    for what, r in [("traced _reduce", traced), ("unit", u)] + [("quotient", q) for q in quots]:
-        assert_keys_fresh(r, what)
     for b in basis:
         assert_keys_fresh(b, "complete_basis")
