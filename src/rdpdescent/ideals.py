@@ -24,6 +24,25 @@ single zero increment certifies (by Nakayama) that m^D is contained in the
 extended ideal and lambda_D is the exact local length.  On top of that the
 oracle insists, as a belt-and-braces certificate, that a pure power of
 every variable is visible inside the row space before it reports a value.
+
+The generators' rows go in one generator at a time, and the row m*g_i is
+skipped when m is already a pivot column after all rows of g_1..g_{i-1}
+(the matrix form of Faugere's F5 criterion; these are the rows that the
+Koszul syzygies g_j*g_i = g_i*g_j make redundant).  The skip keeps the
+row space.  Let W be the span of all truncated shifts of g_1..g_{i-1}: it
+is the image of the ideal (g_1..g_{i-1}) in R/m^D, so h*g_i lies in W for
+every h in W.  If h in W has lowest column m, then
+
+    m*g_i = h*g_i - (h - m)*g_i   mod m^D,
+
+where the first term lies in W and the second is a combination of shifts
+m''*g_i with m'' after m in column order (shifts of degree >= D - ord g_i
+vanish).  Descending induction over the columns puts every skipped row in
+the span of W and the kept rows of g_i.  The pivots of g_i's own rows do
+not justify a skip: for the single generator x the row x*x is needed,
+although x is a pivot column after the row 1*x.  lambda_d, the pure-power
+check and membership read only the row space, so no answer depends on
+the skip; only the stored pivot rows differ.
 """
 
 from __future__ import annotations
@@ -283,22 +302,29 @@ class _Echelon:
 class _OracleRun:
     """One elimination run at working degree D: the image of the ideal in
     R/m^D, echelonized, from which lambda_d for every d <= D is read off
-    the pivot columns and membership questions are answered."""
+    the pivot columns and membership questions are answered.  The rows of
+    each generator skip the multipliers that are pivot columns of the
+    earlier generators' rows (module docstring)."""
 
     def __init__(self, gens: Sequence[Polynomial], workdeg: int):
         ring = gens[0].ring
         self.p = ring.p
         self.workdeg = workdeg
         self.n = n = ring.nvars
-        by_deg = _monomials_by_degree(n, workdeg - 1)
-        self.index = {m: i for i, m in enumerate(m for level in by_deg for m in level)}
-        self.ech = _Echelon(self.p)
+        monos = [m for level in _monomials_by_degree(n, workdeg - 1) for m in level]
+        self.index = {m: i for i, m in enumerate(monos)}
+        self.ech = ech = _Echelon(self.p)
+        earlier = bytearray(len(monos))  # pivot columns of the earlier generators' rows
         for g in gens:
-            o = g.order()
-            for mdeg in range(workdeg - o):
-                for mult in by_deg[mdeg]:
-                    self.ech.insert(self._row(g, mult))
-        self.pivots = sorted(self.ech.pivot_rows)
+            for col in ech.pivot_rows:
+                earlier[col] = 1
+            # The multipliers of degree < k are the first C(k - 1 + n, n)
+            # columns; k = 0 when g has no terms below the working degree.
+            k = max(workdeg - g.order(), 0)
+            for col in range(math.comb(k - 1 + n, n)):
+                if not earlier[col]:
+                    ech.insert(self._row(g, monos[col]))
+        self.pivots = sorted(ech.pivot_rows)
 
     def _row(self, g: Polynomial, mult: Mono) -> Dict[int, int]:
         """mult*g truncated below the working degree."""

@@ -17,13 +17,15 @@ This is the wire format used by the CLI and the catalog file.
 Two bounds keep hostile input from exhausting the interpreter: groups
 nest at most MAX_DEPTH deep, and all products and powers of one parse
 together multiply at most MAX_PRODUCT_WORK pairs of terms.  Either
-overflow is a ParseError.
+overflow is a ParseError, and so is a power or product in which some
+variable's exponent reaches MAX_EXPONENT.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Dict, Tuple
+from operator import add
+from typing import Dict, List, Optional, Tuple
 
 from .errors import UsageError
 from .poly import _NAME, MAX_EXPONENT, Mono, Polynomial, Ring, product_terms
@@ -45,6 +47,13 @@ class ParseError(UsageError):
         self.position = position
         self.message = message
         super().__init__(f"parse error at position {position}: {message}")
+
+
+def _degrees(terms: Dict[Mono, int], p: int) -> Optional[List[int]]:
+    """The degree of terms in each variable, over the coefficients that are
+    nonzero mod p; None when every coefficient is."""
+    live = [m for m, c in terms.items() if c % p]
+    return [max(e) for e in zip(*live)] if live else None
 
 
 class _Parser:
@@ -89,7 +98,14 @@ class _Parser:
         self.work += len(a) * len(b)
         if self.work > MAX_PRODUCT_WORK:
             raise ParseError(at, f"expansion too large: products exceed {MAX_PRODUCT_WORK} term pairs")
-        return product_terms(a.items(), b.items(), self.ring.p)
+        p = self.ring.p
+        da, db = _degrees(a, p), _degrees(b, p)
+        if da and db:
+            # A product's degree in each variable is the sum of its factors'.
+            top = max(map(add, da, db))
+            if top >= MAX_EXPONENT:
+                raise ParseError(at, f"exponent overflow: {top} >= {MAX_EXPONENT}")
+        return product_terms(a.items(), b.items(), p)
 
     def term(self) -> Dict[Mono, int]:
         acc = self.factor()
@@ -116,7 +132,8 @@ class _Parser:
         return epos, e
 
     def _power(self, base: Dict[Mono, int], e: int, at: int) -> Dict[Mono, int]:
-        top = max((max(m) for m, c in base.items() if c), default=0)
+        degs = _degrees(base, self.ring.p)
+        top = max(degs) if degs else 0
         if top == 0:  # a constant
             return {m: pow(c, e, self.ring.p) for m, c in base.items()}
         if top * e >= MAX_EXPONENT:

@@ -82,6 +82,14 @@ def test_variable_power_overflow_is_a_parse_error(capsys):
     assert (note["error"], note["position"]) == ("parse error", 2)
 
 
+def test_product_exponent_overflow_is_a_parse_error(capsys):
+    code, _, err = run(capsys, "analyze", "--char", "2", "--poly", "x^40000*x^40000", "--json")
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    note = json.loads(err)
+    assert (note["error"], note["position"]) == ("parse error", 7)
+
+
 def test_bad_characteristic_is_usage_error(capsys):
     code, out, err = run(capsys, "analyze", "--char", "4", "--poly", "x^2")
     assert code == 2

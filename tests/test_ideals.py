@@ -14,7 +14,8 @@ from rdpdescent import (INFINITE, HypersurfaceGerm, IdealPresentation,
                         bracket_ideal, contains, is_parameter_ideal,
                         jacobian_ideal, local_length, parse_poly,
                         truncation_contains, truncation_length_oracle)
-from rdpdescent.ideals import DEFAULT_DEGREE_CAP, _oracle_run, _OracleRun
+from rdpdescent.catalog import table_records
+from rdpdescent.ideals import DEFAULT_DEGREE_CAP, _Echelon, _oracle_run, _OracleRun
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
@@ -445,6 +446,100 @@ def test_oracle_quotient_dims_match_a_dense_rank():
             assert run.quotient_dim(d) == macaulay_quotient_dim(gens, d), (p, gens, workdeg, d)
         checked += 1
     assert checked >= 200
+
+
+# -- the skipped rows (F5 criterion) ---------------------------------------------------
+
+def unskipped_pivots(gens, run):
+    """Pivot columns of a fresh echelon form fed every row m*g, m any
+    monomial below the run's working degree, truncated as the run
+    truncates.  The run's span lies inside this one, so equal pivot
+    columns mean equal spans."""
+    ech = _Echelon(run.p)
+    for g in gens:
+        for mult in run.index:
+            row = {}
+            for mono, c in g.terms:
+                col = run.index.get(tuple(a + b for a, b in zip(mono, mult)))
+                if col is not None:
+                    row[col] = c
+            ech.insert(row)
+    return sorted(ech.pivot_rows)
+
+
+def catalog_oracle_ideals():
+    """J and J^[p] of every E row at p = 2, 3, 5: the `oracle` workload's 44."""
+    ideals = []
+    for rec in table_records():
+        germ = rec.germ()
+        jac = jacobian_ideal(germ)
+        ideals += [(f"{rec.label}/p{rec.char} J", jac),
+                   (f"{rec.label}/p{rec.char} J[p]", bracket_ideal(jac, germ))]
+    return ideals
+
+
+def test_skipped_rows_keep_the_catalog_pivots():
+    ideals = catalog_oracle_ideals()
+    assert len(ideals) == 44
+    for label, ideal in ideals:
+        _, run = _oracle_run(ideal, DEFAULT_DEGREE_CAP)
+        assert run is not None, label
+        gens = [g for g in ideal.gens if not g.is_zero]
+        assert run.pivots == unskipped_pivots(gens, run), label
+
+
+def test_skipped_rows_keep_random_pivots():
+    # A duplicated generator gets no rows past its first copy's pivots, and
+    # a generator of order >= the working degree gets none at all.
+    rng = random.Random(20261019)
+    for case in range(120):
+        p = (2, 3, 5, 97)[case % 4]
+        n = 2 + case % 2
+        ring = lring(p, ("x", "y", "z")[:n])
+        gens = [g for g in (random_local_poly(rng, ring, 3, 3) for _ in range(3)) if not g.is_zero]
+        if not gens:
+            continue
+        workdeg = rng.randint(3, 7 if n == 2 else 5)
+        high = ring.poly({tuple(rng.randint(0, 2) for _ in range(n - 1)) + (workdeg,): 1})
+        gens.insert(rng.randint(0, len(gens)), rng.choice(gens))
+        gens.insert(rng.randint(0, len(gens)), high)
+        run = _OracleRun(gens, workdeg)
+        assert run.pivots == unskipped_pivots(gens, run), (p, gens, workdeg)
+
+
+def count_inserts(monkeypatch):
+    """Count _Echelon.insert calls: [rows, rows that reduced to zero]."""
+    counts = [0, 0]
+    real_insert = _Echelon.insert
+
+    def counted(self, row):
+        before = len(self.pivot_rows)
+        real_insert(self, row)
+        counts[0] += 1
+        counts[1] += len(self.pivot_rows) == before
+
+    monkeypatch.setattr(_Echelon, "insert", counted)
+    return counts
+
+
+def test_skipped_rows_catalog_counts(monkeypatch):
+    # Without the skip, the same calls insert 83,880 rows, 35,479 of which
+    # reduce to zero.
+    counts = count_inserts(monkeypatch)
+    for _, ideal in catalog_oracle_ideals():
+        truncation_length_oracle(ideal)
+    assert counts == [50961, 2560]
+
+
+def test_skipped_rows_e8_0_bracket_count(monkeypatch):
+    # E_8^0 at p = 5, J^[p] at working degree 40: 22,610 rows without the
+    # skip, 11,380 of them zero.
+    rec = next(r for r in table_records() if (r.label, r.char) == ("E_8^0", 5))
+    germ = rec.germ()
+    bracket = bracket_ideal(jacobian_ideal(germ), germ)
+    counts = count_inserts(monkeypatch)
+    _OracleRun([g for g in bracket.gens if not g.is_zero], 40)
+    assert counts == [11380, 150]
 
 
 def test_oracle_membership_truncates_above_the_working_degree():

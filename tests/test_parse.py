@@ -94,6 +94,23 @@ def test_variable_power_exponent_is_bounded():
     assert parse_poly("z^65535", r).lm() == (0, 0, 65535)
 
 
+def test_product_exponent_is_bounded():
+    # A product's exponents are the sums of its factors'; the error points
+    # at the '*' that reaches the bound.
+    r = ring()
+    for src, position in (("x^40000*x^40000", 7), ("y*x^40000*x^40000", 9),
+                          ("(x+y^2)^3*y^65530", 9)):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(src, r)
+        assert exc.value.position == position
+        assert exc.value.message.startswith("exponent overflow: ")
+    assert parse_poly("x^32768*x^32767", r).lm() == (65535, 0, 0)
+    assert parse_poly("x^40000*y^40000", r).lm() == (40000, 40000, 0)
+    # Terms that cancel mod p do not count: both products are zero.
+    assert parse_poly("(x^40000+x^40000)*x^40000", r).is_zero
+    assert parse_poly("(x^40000-x^40000)*x^40000", r).is_zero
+
+
 def test_integer_literals_longer_than_int_accepts():
     r = ring(p=3)
     # 5002 ones: the digit sum 5002 is 1 mod 3
