@@ -101,6 +101,15 @@ higher corner has a standard representation modulo the lower one too.
 
 All loops charge a shared step budget; exceeding it raises
 EngineLimitError, never a wrong answer.
+
+The working polynomial h of `_reduce` is a dict from packed key
+(`Ring.key`) to term, with a heap of its keys for the leading term.  A
+step adds the |g| terms of the reducer multiple into the dict and leaves
+the rest of h alone: O(|g| log |h|) work, where a merge of two sorted
+term tuples would cost O(|h| + |g|).  The charge of a step stays
+1 + (|h| + |g|) // 8, read off the dict's size: the budget measures the
+size of the reduction, not how h happens to be held, so a cap is reached
+at the same step whatever the representation.
 """
 
 from __future__ import annotations
@@ -111,8 +120,8 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineLimitError, UsageError
-from .poly import (Mono, OrderingTag, Polynomial, Ring, inv_mod, mono_deg,
-                   mono_divides, mono_lcm, mono_mul, mono_quot)
+from .poly import (MAX_EXPONENT, Mono, OrderingTag, Polynomial, Ring, inv_mod,
+                   mono_deg, mono_divides, mono_lcm, mono_mul, mono_quot)
 
 DEFAULT_STEP_CAP = 10 ** 6
 
@@ -136,8 +145,10 @@ class _Budget:
             raise EngineLimitError(
                 f"engine step cap of {self.cap} exceeded; raise --step-cap if the input is legitimate")
 
-    def step(self, h: Polynomial, g: Polynomial):
-        self.spend(1 + (len(h.terms) + len(g.terms)) // 8)
+    def step(self, h_size: int, g_size: int):
+        """Charge one reduction step of a reducer with g_size terms on a
+        working polynomial with h_size terms."""
+        self.spend(1 + (h_size + g_size) // 8)
 
 
 class StandardBasis:
@@ -229,6 +240,18 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
     which makes the result fully reduced.  With a corner D, f and every
     reducer multiple are kept free of terms of degree >= D.  A caller that
     reduces against the same gens many times passes their ecarts.
+
+    h is held as a dict from packed key to term, with a max-heap of its
+    keys (negated, on heapq) from which cancelled keys are dropped when
+    they surface.  The leading term is the top of the heap.  Its ecart,
+    needed only when the chosen reducer has a positive one, comes from the
+    smallest key, which under the local ordering is the term of highest
+    degree.  Keys are additive, so the multiple's keys are g's shifted by
+    key(mult), and a monomial is built only for a key that h does not hold
+    yet: a step costs O(|g| log |h|), not the O(|h| + |g|) of a merge.  A
+    joining h is stored as a sorted Polynomial snapshot.  The dict knows
+    |h|, so `_Budget.step` charges exactly what a merge of h and g is
+    charged (module docstring).
     """
     ring = f.ring
     p = ring.p
@@ -236,11 +259,17 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
     if ecarts is None:
         ecarts = [g.ecart() for g in gens]
     reducers: List[Tuple[Polynomial, int]] = list(zip(gens, ecarts))
-    h = _truncate(f, corner)
+    f = _truncate(f, corner)
+    h = dict(zip(f.keys, f.terms))
+    heap = [-k for k in f.keys]  # f.keys descend: a new list, already a heap
     remainder: List[Tuple[Mono, int]] = []
     remainder_keys: List[int] = []
-    while not h.is_zero:
-        lm = h.lm()
+    while heap:
+        lead = -heapq.heappop(heap)
+        term = h.get(lead)
+        if term is None:
+            continue  # cancelled after it was pushed
+        lm = term[0]
         best = None
         for r in reducers:
             if (best is None or r[1] < best[1]) and mono_divides(r[0].lm(), lm):
@@ -250,20 +279,46 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
         if best is None:
             if not is_global:
                 break
-            remainder.append(h.terms[0])
-            remainder_keys.append(h.keys[0])
-            h = h.tail()
+            remainder.append(term)
+            remainder_keys.append(lead)
+            del h[lead]
             continue
         g, ec = best
         if ec:
-            eh = h.ecart()
+            eh = mono_deg(h[min(h)][0]) - mono_deg(lm)
             if ec > eh:
-                reducers.append((h, eh))
-        budget.step(h, g)
-        c = (h.lc() * inv_mod(g.lc(), p)) % p
+                reducers.append((_sorted_poly(ring, h), eh))
+        budget.step(len(h), len(g.terms))
+        del h[lead]  # the multiple's leading term cancels it
         mult = mono_quot(lm, g.lm())
-        h = h - _truncate(g, _below(corner, mult)).term_mul(c, mult)
-    return Polynomial(ring, tuple(remainder), remainder_keys) if is_global else h
+        g = _truncate(g, _below(corner, mult))
+        if mono_deg(mult) + g.degree() >= MAX_EXPONENT:
+            g.term_mul(1, mult)  # raises term_mul's error if an exponent overflows
+        c = p - term[1] * inv_mod(g.lc(), p) % p  # minus the multiple's coefficient
+        shift = ring.key(mult)  # the key is additive
+        terms, keys = g.terms, g.keys
+        for i in range(1, len(keys)):
+            k = keys[i] + shift
+            m, cg = terms[i]
+            old = h.get(k)
+            if old is None:
+                h[k] = (mono_mul(m, mult), cg * c % p)
+                heapq.heappush(heap, -k)
+            else:
+                cg = (old[1] + cg * c) % p
+                if cg:
+                    h[k] = (old[0], cg)
+                else:
+                    del h[k]
+    if is_global:
+        return Polynomial(ring, tuple(remainder), remainder_keys)
+    return _sorted_poly(ring, h)
+
+
+def _sorted_poly(ring: Ring, acc: dict) -> Polynomial:
+    """The polynomial of a {key: term} dict."""
+    keys = sorted(acc, reverse=True)
+    return Polynomial(ring, tuple(map(acc.__getitem__, keys)), keys)
 
 
 def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynomial:

@@ -38,7 +38,8 @@ key(a*b) = key(a) + key(b) and key(m^q) = q * key(m).
 A Polynomial carries the keys of its terms in `keys`, computed once when
 it is built from monomials.  Addition and subtraction merge by comparing
 these ints, `term_mul` shifts them by one addition per term, `tail` and
-truncation slice them.  The keys are a list that nothing mutates, not a
+truncation slice them, and the reduction loop of `gbasis` keys its working
+polynomial by them.  The keys are a list that nothing mutates, not a
 tuple: CPython keeps a dead tuple shorter than 20 on a free list for its
 length, up to 2000 of them, and as tuples the keys raised the peak
 resident memory of a round of the `coords` benchmark workload by 0.7 MB

@@ -3,6 +3,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import event, example, given, settings
+from hypothesis import strategies as st
 
 from rdpdescent import (EngineLimitError, INFINITE, OrderingTag, Ring,
                         complete_basis, is_dimension_zero, leading_ideal,
@@ -10,9 +12,11 @@ from rdpdescent import (EngineLimitError, INFINITE, OrderingTag, Ring,
                         s_pairs_reduce_to_zero, standard_monomial_count)
 from rdpdescent import gbasis
 from rdpdescent.catalog import instantiate
+from rdpdescent.errors import UsageError
+from rdpdescent.gbasis import _below, _Budget, _reduce, _truncate
 from rdpdescent.ideals import (UNSTABLE, HypersurfaceGerm, IdealPresentation, bracket_ideal,
                                jacobian_ideal, truncation_contains, truncation_length_oracle)
-from rdpdescent.poly import mono_deg
+from rdpdescent.poly import inv_mod, mono_deg, mono_divides, mono_mul, mono_quot
 
 GLOBAL = OrderingTag.GLOBAL_DEGREVLEX
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
@@ -430,6 +434,120 @@ def test_pair_order_is_pinned(monkeypatch, make_gens, pairs, digest):
     complete_basis(make_gens())
     assert len(seen) == pairs
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
+
+
+# -- the reduction loop against a merge loop ------------------------------------
+
+def merge_reduce(f, gens, budget, corner=None):
+    """The reduction loop with h held as a Polynomial: each step subtracts
+    the reducer multiple that term_mul builds, a merge of |h| + |g| terms.
+    The same reducer choice, joins, truncation and charges as `_reduce`;
+    returns the normal form and the number of Mora joins."""
+    ring = f.ring
+    is_global = ring.ordering == GLOBAL
+    reducers = [(g, g.ecart()) for g in gens]
+    h = _truncate(f, corner)
+    remainder = {}
+    joins = 0
+    while not h.is_zero:
+        lm = h.lm()
+        best = None
+        for r in reducers:
+            if (best is None or r[1] < best[1]) and mono_divides(r[0].lm(), lm):
+                best = r
+                if r[1] == 0:
+                    break
+        if best is None:
+            if not is_global:
+                break
+            remainder[lm] = h.lc()
+            h = h.tail()
+            continue
+        g, ec = best
+        if ec > h.ecart():
+            reducers.append((h, h.ecart()))
+            joins += 1
+        budget.step(len(h.terms), len(g.terms))
+        c = h.lc() * inv_mod(g.lc(), ring.p) % ring.p
+        mult = mono_quot(lm, g.lm())
+        h = h - _truncate(g, _below(corner, mult)).term_mul(c, mult)
+    return (ring.poly(remainder) if is_global else h), joins
+
+
+@st.composite
+def reductions(draw):
+    p = draw(st.sampled_from((2, 3, 5)))
+    n = draw(st.integers(1, 3))
+    ordering = draw(st.sampled_from((LOCAL, GLOBAL)))
+    ring = Ring(p, ("x", "y", "z")[:n], ordering)
+
+    def poly(min_size, max_size=5):
+        return ring.poly(draw(st.dictionaries(st.tuples(*[st.integers(0, 4)] * n), st.integers(1, p - 1),
+                                              min_size=min_size, max_size=max_size)))
+
+    gens = [poly(2)] + [poly(1) for _ in range(draw(st.integers(0, 2)))]
+    # A reducer of several terms tends to have an ecart, an f of few terms
+    # a small one, and an f with a multiple of that reducer's leading
+    # monomial is reducible: together they make joins likely.
+    size = draw(st.sampled_from((1, 2, 5, 0)))
+    f = poly(min(size, 1), size)
+    if draw(st.booleans()):
+        f = f + ring.poly({mono_mul(gens[0].lm(), draw(st.tuples(*[st.integers(0, 2)] * n))): 1})
+    corner = None if ordering is GLOBAL else draw(st.one_of(st.none(), st.integers(1, 10)))
+    return f, gens, corner
+
+
+def reduction_outcome(reduce, case, cap):
+    """The normal form, or the engine-limit message, and the budget left."""
+    f, gens, corner = case
+    budget = _Budget(cap)
+    try:
+        nf = reduce(f, gens, budget, corner)
+    except EngineLimitError as exc:
+        return str(exc), budget.remaining
+    return (nf.terms, nf.keys), budget.remaining
+
+
+# x is x + x^2 times a unit of the localization; reducing it joins x to
+# the reducers, and one more step with the joined x reaches 0.
+X_LOCAL = Ring(3, ("x",), LOCAL)
+JOINING = (X_LOCAL.poly({(1,): 1}), [X_LOCAL.poly({(1,): 1, (2,): 1})], None)
+
+
+def test_the_joining_example_joins():
+    nf, joins = merge_reduce(*JOINING[:2], _Budget(100), JOINING[2])
+    assert nf.is_zero and joins == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(reductions(), st.integers(0, 1 << 16))
+@example(JOINING, 0)
+def test_reduction_matches_the_merge_loop(case, draw):
+    # Same normal form and keys, same budget left, and an engine limit at
+    # exactly the same caps: the one the whole reduction needs, one below
+    # it, and a drawn one up to it.
+    f, gens, corner = case
+    budget = _Budget(20000)
+    try:
+        _, joins = merge_reduce(f, gens, budget, corner)
+    except EngineLimitError:
+        return
+    if joins:
+        event("Mora joins")
+    need = budget.cap - budget.remaining
+    for cap in {20000, need, need - 1, draw % (need + 1)}:
+        expected = reduction_outcome(lambda *args: merge_reduce(*args)[0], case, cap)
+        assert reduction_outcome(_reduce, case, cap) == expected, cap
+
+
+def test_exponent_overflow_inside_a_reduction():
+    # The reducer multiple x^65535 * (y^2 + x) holds x^65536.
+    ring = Ring(2, ("x", "y"), GLOBAL)
+    f = ring.poly({(65535, 2): 1})
+    gens = [parse_poly("y^2+x", ring)]
+    for reduce in (_reduce, merge_reduce):
+        with pytest.raises(UsageError, match=r"^exponent overflow: 65536 >= 65536$"):
+            reduce(f, gens, _Budget(None))
 
 
 # -- differential test against sympy --------------------------------------------

@@ -132,10 +132,17 @@ def test_carried_keys_stay_fresh(case, bound):
     for c in (None, corner):
         assert_keys_fresh(spoly(f, g, c), "spoly")
     gens = [g] if h.is_zero else [g, h]
+    before = [(r.terms, list(r.keys)) for r in (f, g, h)]
     try:
         nf = _reduce(f, gens, _Budget(2000), corner)
         basis = complete_basis([f] + gens, step_cap=2000)
     except EngineLimitError:
+        nf = basis = None
+    # _reduce builds its heap from a copy of f's keys, never from the list.
+    for name, r, (terms, keys) in zip("fgh", (f, g, h), before):
+        assert r.terms == terms and r.keys == keys, f"_reduce changed {name}"
+        assert_keys_fresh(r, f"{name} after _reduce")
+    if basis is None:
         return
     assert_keys_fresh(nf, "_reduce")
     for b in basis:
