@@ -103,13 +103,14 @@ All loops charge a shared step budget; exceeding it raises
 EngineLimitError, never a wrong answer.
 
 The working polynomial h of `_reduce` is a dict from packed key
-(`Ring.key`) to term, with a heap of its keys for the leading term.  A
-step adds the |g| terms of the reducer multiple into the dict and leaves
-the rest of h alone: O(|g| log |h|) work, where a merge of two sorted
-term tuples would cost O(|h| + |g|).  The charge of a step stays
-1 + (|h| + |g|) // 8, read off the dict's size: the budget measures the
-size of the reduction, not how h happens to be held, so a cap is reached
-at the same step whatever the representation.
+(`Ring.key`) to term, with a heap of its keys for the leading term.  It
+starts from f, or from the two multiples of an S-pair (`_pair`), added
+as each step adds the |g| terms of its reducer multiple: the rest of h is
+left alone, O(|g| log |h|) work, where a merge of two sorted term tuples
+would cost O(|h| + |g|).  The start is not charged, and a step's charge
+stays 1 + (|h| + |g|) // 8, read off the dict's size: the budget measures
+the size of the reduction, not how h happens to be held, so a cap is
+reached at the same step whatever the representation.
 """
 
 from __future__ import annotations
@@ -120,8 +121,8 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineLimitError, UsageError
-from .poly import (MAX_EXPONENT, Mono, OrderingTag, Polynomial, Ring, inv_mod,
-                   mono_deg, mono_divides, mono_lcm, mono_mul, mono_quot)
+from .poly import (MAX_EXPONENT, Mono, OrderingTag, Polynomial, Ring, _from_keyed,
+                   inv_mod, mono_deg, mono_divides, mono_lcm, mono_mul, mono_quot)
 
 DEFAULT_STEP_CAP = 10 ** 6
 
@@ -213,22 +214,29 @@ def _below(corner: Optional[int], m: Mono) -> Optional[int]:
     return None if corner is None else corner - mono_deg(m)
 
 
-def spoly(f: Polynomial, g: Polynomial, corner: Optional[int] = None) -> Polynomial:
-    """S-polynomial: cancel the leading terms of f and g against their lcm.
-    Terms of degree >= corner are left out (see the module docstring)."""
+def _pair(f: Polynomial, g: Polynomial) -> tuple:
+    """The S-pair of f and g as two multiples (g, c, m), whose sum cancels
+    the leading terms against their lcm: the one owner of the S-pair
+    formula, which `_reduce` sums."""
     p = f.ring.p
     lmf, lmg = f.lm(), g.lm()
     lcm = mono_lcm(lmf, lmg)
-    qf, qg = mono_quot(lcm, lmf), mono_quot(lcm, lmg)
-    a = _truncate(f, _below(corner, qf)).term_mul(inv_mod(f.lc(), p), qf)
-    b = _truncate(g, _below(corner, qg)).term_mul(inv_mod(g.lc(), p), qg)
-    return a - b
+    return ((f, inv_mod(f.lc(), p), mono_quot(lcm, lmf)),
+            (g, p - inv_mod(g.lc(), p), mono_quot(lcm, lmg)))
 
 
-def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
-            corner: Optional[int] = None,
+def spoly(f: Polynomial, g: Polynomial, corner: Optional[int] = None) -> Polynomial:
+    """S-polynomial: cancel the leading terms of f and g against their lcm.
+    Terms of degree >= corner are left out (see the module docstring)."""
+    f._check_ring(g)
+    return _reduce(_pair(f, g), (), _Budget(None), corner)
+
+
+def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], gens: Sequence[Polynomial],
+            budget: _Budget, corner: Optional[int] = None,
             ecarts: Optional[Sequence[int]] = None) -> Polynomial:
-    """Normal form of f against gens: the one reduction loop of the engine.
+    """Normal form of the sum of the multiples c*m*g in seed against gens:
+    the one reduction loop of the engine.
 
     Each step cancels the leading term of the working polynomial h against
     the reducer of least ecart whose leading monomial divides it, ties
@@ -237,33 +245,59 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
     stops at an irreducible leading term: a weak normal form.  Under the
     global ordering every ecart is 0, so the rule picks the first divisor
     and nothing joins; an irreducible leading term moves to the remainder,
-    which makes the result fully reduced.  With a corner D, f and every
-    reducer multiple are kept free of terms of degree >= D.  A caller that
-    reduces against the same gens many times passes their ecarts.
+    which makes the result fully reduced.  With a corner D, every multiple
+    is kept free of terms of degree >= D.  Against no gens the loop
+    returns the seeded sum.  A caller that reduces against the same gens
+    many times passes their ecarts.
 
     h is held as a dict from packed key to term, with a max-heap of its
     keys (negated, on heapq) from which cancelled keys are dropped when
     they surface.  The leading term is the top of the heap.  Its ecart,
     needed only when the chosen reducer has a positive one, comes from the
     smallest key, which under the local ordering is the term of highest
-    degree.  Keys are additive, so the multiple's keys are g's shifted by
-    key(mult), and a monomial is built only for a key that h does not hold
-    yet: a step costs O(|g| log |h|), not the O(|h| + |g|) of a merge.  A
-    joining h is stored as a sorted Polynomial snapshot.  The dict knows
-    |h|, so `_Budget.step` charges exactly what a merge of h and g is
-    charged (module docstring).
+    degree.  The seed and each step's reducer multiple are added by the
+    same code, which leaves out only the reducer's leading term, the one
+    the step cancels.  Keys are additive, so a multiple's keys are g's
+    shifted by key(m), and a monomial is built only for a key that h does
+    not hold yet: a step costs O(|g| log |h|), not the O(|h| + |g|) of a
+    merge.  A joining h is stored as a sorted Polynomial snapshot.  The
+    dict knows |h|, so `_Budget.step` charges exactly what a merge of h
+    and g is charged (module docstring).
     """
-    ring = f.ring
+    ring = seed[0][0].ring
     p = ring.p
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
     if ecarts is None:
         ecarts = [g.ecart() for g in gens]
     reducers: List[Tuple[Polynomial, int]] = list(zip(gens, ecarts))
-    f = _truncate(f, corner)
-    h = dict(zip(f.keys, f.terms))
-    heap = [-k for k in f.keys]  # f.keys descend: a new list, already a heap
+    h: dict = {}
+    heap: List[int] = []
     remainder: List[Tuple[Mono, int]] = []
     remainder_keys: List[int] = []
+
+    def add(g: Polynomial, c: int, m: Mono, start: int):
+        # h += c*m*g over the terms of g from index start on, cut below the corner.
+        g = _truncate(g, _below(corner, m))
+        if mono_deg(m) + g.degree() >= MAX_EXPONENT:
+            g.term_mul(1, m)  # raises term_mul's error if an exponent overflows
+        shift = ring.key(m)  # the key is additive
+        terms, keys = g.terms, g.keys
+        for i in range(start, len(keys)):
+            k = keys[i] + shift
+            mg, cg = terms[i]
+            old = h.get(k)
+            if old is None:
+                h[k] = (mono_mul(mg, m), cg * c % p)
+                heapq.heappush(heap, -k)
+            else:
+                cg = (old[1] + cg * c) % p
+                if cg:
+                    h[k] = (old[0], cg)
+                else:
+                    del h[k]
+
+    for g, c, m in seed:
+        add(g, c, m, 0)
     while heap:
         lead = -heapq.heappop(heap)
         term = h.get(lead)
@@ -287,38 +321,14 @@ def _reduce(f: Polynomial, gens: Sequence[Polynomial], budget: _Budget,
         if ec:
             eh = mono_deg(h[min(h)][0]) - mono_deg(lm)
             if ec > eh:
-                reducers.append((_sorted_poly(ring, h), eh))
+                reducers.append((_from_keyed(ring, h), eh))
         budget.step(len(h), len(g.terms))
         del h[lead]  # the multiple's leading term cancels it
-        mult = mono_quot(lm, g.lm())
-        g = _truncate(g, _below(corner, mult))
-        if mono_deg(mult) + g.degree() >= MAX_EXPONENT:
-            g.term_mul(1, mult)  # raises term_mul's error if an exponent overflows
         c = p - term[1] * inv_mod(g.lc(), p) % p  # minus the multiple's coefficient
-        shift = ring.key(mult)  # the key is additive
-        terms, keys = g.terms, g.keys
-        for i in range(1, len(keys)):
-            k = keys[i] + shift
-            m, cg = terms[i]
-            old = h.get(k)
-            if old is None:
-                h[k] = (mono_mul(m, mult), cg * c % p)
-                heapq.heappush(heap, -k)
-            else:
-                cg = (old[1] + cg * c) % p
-                if cg:
-                    h[k] = (old[0], cg)
-                else:
-                    del h[k]
+        add(g, c, mono_quot(lm, g.lm()), 1)
     if is_global:
         return Polynomial(ring, tuple(remainder), remainder_keys)
-    return _sorted_poly(ring, h)
-
-
-def _sorted_poly(ring: Ring, acc: dict) -> Polynomial:
-    """The polynomial of a {key: term} dict."""
-    keys = sorted(acc, reverse=True)
-    return Polynomial(ring, tuple(map(acc.__getitem__, keys)), keys)
+    return _from_keyed(ring, h)
 
 
 def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynomial:
@@ -331,7 +341,8 @@ def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynom
     gens = tuple(basis)
     for g in gens:
         f._check_ring(g)
-    return _reduce(f, gens, _Budget(step_cap), getattr(basis, "corner", None))
+    return _reduce(((f, 1, (0,) * f.ring.nvars),), gens, _Budget(step_cap),
+                   getattr(basis, "corner", None))
 
 
 def _prepare(gens: Sequence[Polynomial]) -> List[Polynomial]:
@@ -488,7 +499,7 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
         budget.spend()
         if is_global and lcm == mono_mul(lms[i], lms[j]):
             continue  # coprime leading monomials: S-pair reduces to zero
-        h = _reduce(spoly(basis[i], basis[j], corner), basis, budget, corner, ecarts=ecarts)
+        h = _reduce(_pair(basis[i], basis[j]), basis, budget, corner, ecarts=ecarts)
         if not h.is_zero:
             add(h.monic())  # truncated, so its leading monomial has degree < corner
 
@@ -514,8 +525,9 @@ def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
         # Tail-reduce to the unique reduced Groebner basis.  The basis is
         # minimal, so no leading monomial changes, and a remainder free of
         # them stays free when the others are reduced: one pass suffices.
+        one = (0,) * ring.nvars
         for i in range(len(kept)):
-            kept[i] = _reduce(kept[i], kept[:i] + kept[i + 1:], budget).monic()
+            kept[i] = _reduce(((kept[i], 1, one),), kept[:i] + kept[i + 1:], budget).monic()
     kept.sort(key=lambda g: g.keys[0], reverse=True)
     # The leading ideal is that of the completion, so its last sweep is the
     # basis's staircase; under the global ordering stair is None and it sweeps.
@@ -539,7 +551,7 @@ def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None)
               else _staircase(basis.leading_monomials())[1])
     ecarts = [g.ecart() for g in gens]
     for i, j in itertools.combinations(range(len(gens)), 2):
-        if not _reduce(spoly(gens[i], gens[j]), gens, _Budget(step_cap), corner,
+        if not _reduce(_pair(gens[i], gens[j]), gens, _Budget(step_cap), corner,
                        ecarts=ecarts).is_zero:
             return False
     return True

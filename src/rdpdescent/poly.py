@@ -36,17 +36,18 @@ exponents, so the key is a linear form, key(m) = w . m, with
 key(a*b) = key(a) + key(b) and key(m^q) = q * key(m).
 
 A Polynomial carries the keys of its terms in `keys`, computed once when
-it is built from monomials.  Addition and subtraction merge by comparing
-these ints, `term_mul` shifts them by one addition per term, `tail` and
-truncation slice them, and the reduction loop of `gbasis` keys its working
-polynomial by them.  The keys are a list that nothing mutates, not a
-tuple: CPython keeps a dead tuple shorter than 20 on a free list for its
-length, up to 2000 of them, and as tuples the keys raised the peak
-resident memory of a round of the `coords` benchmark workload by 0.7 MB
-(CPython 3.11 on Linux).  The keys are never part of equality or
-hashing, and monomials stay exponent tuples at the API: divisibility,
-lcm, the parser and the truncation oracle's rows all need the exponents,
-which a key does not expose.
+it is built from monomials.  Addition and subtraction sum the terms in a
+dict keyed by these ints, as the reduction loop of `gbasis` sums its
+working polynomial, and `_from_keyed` sorts such a dict back into a
+Polynomial; `term_mul` shifts the keys by one addition per term, and
+`tail` and truncation slice them.  The keys are a list that nothing
+mutates, not a tuple: CPython keeps a dead tuple shorter than 20 on a
+free list for its length, up to 2000 of them, and as tuples the keys
+raised the peak resident memory of a round of the `coords` benchmark
+workload by 0.7 MB (CPython 3.11 on Linux).  The keys are never part of
+equality or hashing, and monomials stay exponent tuples at the API:
+divisibility, lcm, the parser and the truncation oracle's rows all need
+the exponents, which a key does not expose.
 """
 
 from __future__ import annotations
@@ -216,6 +217,13 @@ def _from_dict(ring: Ring, d: Dict[Mono, int]) -> "Polynomial":
     return Polynomial(ring, tuple((m, c) for _, m, c in items), [k for k, _, _ in items])
 
 
+def _from_keyed(ring: Ring, acc: Dict[int, Tuple[Mono, int]]) -> "Polynomial":
+    """The polynomial of a {key: (monomial, coefficient)} dict whose
+    coefficients are nonzero residues."""
+    keys = sorted(acc, reverse=True)
+    return Polynomial(ring, tuple(map(acc.__getitem__, keys)), keys)
+
+
 class Polynomial:
     """Immutable sparse polynomial; see module docstring for the invariants.
 
@@ -288,50 +296,25 @@ class Polynomial:
 
     # -- arithmetic -------------------------------------------------------
 
-    def _merge(self, other: "Polynomial", sub: bool) -> "Polynomial":
-        # Equal keys mean equal monomials: the key is injective.
+    def _plus(self, other: "Polynomial", c: int) -> "Polynomial":
+        """self + c*other, summed in a {key: term} dict like the reduction
+        loop of `gbasis`; equal keys mean equal monomials."""
+        self._check_ring(other)
         p = self.ring.p
-        a, b = self.terms, other.terms
-        ka, kb = self.keys, other.keys
-        na, nb = len(a), len(b)
-        out = []
-        keys = []
-        i = j = 0
-        while i < na and j < nb:
-            x, y = ka[i], kb[j]
-            if x > y:
-                out.append(a[i])
-                keys.append(x)
-                i += 1
-            elif x < y:
-                t = b[j]
-                out.append((t[0], p - t[1]) if sub else t)
-                keys.append(y)
-                j += 1
+        acc = dict(zip(self.keys, self.terms))
+        for k, (m, cb) in zip(other.keys, other.terms):
+            cb = (acc[k][1] + cb * c) % p if k in acc else cb * c % p
+            if cb:
+                acc[k] = (m, cb)
             else:
-                ma, ca = a[i]
-                c = (ca - b[j][1]) % p if sub else (ca + b[j][1]) % p
-                if c:
-                    out.append((ma, c))
-                    keys.append(x)
-                i += 1
-                j += 1
-        out.extend(a[i:])
-        keys.extend(ka[i:])
-        if sub:
-            out.extend((m, p - c) for m, c in b[j:])
-        else:
-            out.extend(b[j:])
-        keys.extend(kb[j:])
-        return Polynomial(self.ring, tuple(out), keys)
+                del acc[k]
+        return _from_keyed(self.ring, acc)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        return self._merge(other, sub=False)
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        return self._merge(other, sub=True)
+        return self._plus(other, -1)
 
     def scale(self, c: int) -> "Polynomial":
         c %= self.ring.p

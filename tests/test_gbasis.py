@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from rdpdescent import (EngineLimitError, INFINITE, OrderingTag, Ring,
@@ -16,7 +16,7 @@ from rdpdescent.errors import UsageError
 from rdpdescent.gbasis import _below, _Budget, _reduce, _truncate
 from rdpdescent.ideals import (UNSTABLE, HypersurfaceGerm, IdealPresentation, bracket_ideal,
                                jacobian_ideal, truncation_contains, truncation_length_oracle)
-from rdpdescent.poly import inv_mod, mono_deg, mono_divides, mono_mul, mono_quot
+from rdpdescent.poly import inv_mod, mono_deg, mono_divides, mono_lcm, mono_mul, mono_quot
 
 GLOBAL = OrderingTag.GLOBAL_DEGREVLEX
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
@@ -424,19 +424,24 @@ def test_pair_order_is_pinned(monkeypatch, make_gens, pairs, digest):
     # Gebauer-Moeller update drops, and no pair at or above a corner that
     # fell while it was queued.
     seen = []
-    real_spoly = gbasis.spoly
+    real_pair = gbasis._pair
 
-    def logged(f, g, corner=None):
+    def logged(f, g):
         seen.append((f.lm(), g.lm()))
-        return real_spoly(f, g, corner)
+        return real_pair(f, g)
 
-    monkeypatch.setattr(gbasis, "spoly", logged)
+    monkeypatch.setattr(gbasis, "_pair", logged)
     complete_basis(make_gens())
     assert len(seen) == pairs
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
 
 
 # -- the reduction loop against a merge loop ------------------------------------
+
+def reduce_poly(f, gens, budget, corner=None):
+    """`_reduce` on one polynomial: the seed is f itself, 1 * 1 * f."""
+    return _reduce(((f, 1, (0,) * f.ring.nvars),), gens, budget, corner)
+
 
 def merge_reduce(f, gens, budget, corner=None):
     """The reduction loop with h held as a Polynomial: each step subtracts
@@ -537,7 +542,7 @@ def test_reduction_matches_the_merge_loop(case, draw):
     need = budget.cap - budget.remaining
     for cap in {20000, need, need - 1, draw % (need + 1)}:
         expected = reduction_outcome(lambda *args: merge_reduce(*args)[0], case, cap)
-        assert reduction_outcome(_reduce, case, cap) == expected, cap
+        assert reduction_outcome(reduce_poly, case, cap) == expected, cap
 
 
 def test_exponent_overflow_inside_a_reduction():
@@ -545,9 +550,42 @@ def test_exponent_overflow_inside_a_reduction():
     ring = Ring(2, ("x", "y"), GLOBAL)
     f = ring.poly({(65535, 2): 1})
     gens = [parse_poly("y^2+x", ring)]
-    for reduce in (_reduce, merge_reduce):
+    for reduce in (reduce_poly, merge_reduce):
         with pytest.raises(UsageError, match=r"^exponent overflow: 65536 >= 65536$"):
             reduce(f, gens, _Budget(None))
+
+
+# -- S-polynomials against the two-product formula --------------------------------
+
+def reference_spoly(f, g, corner=None):
+    """The S-polynomial as two term_mul products of the factors cut below
+    the corner, subtracted."""
+    p = f.ring.p
+    lcm = mono_lcm(f.lm(), g.lm())
+    qf, qg = mono_quot(lcm, f.lm()), mono_quot(lcm, g.lm())
+    a = _truncate(f, _below(corner, qf)).term_mul(inv_mod(f.lc(), p), qf)
+    b = _truncate(g, _below(corner, qg)).term_mul(inv_mod(g.lc(), p), qg)
+    return a - b
+
+
+@settings(max_examples=250, deadline=None)
+@given(reductions())
+def test_spoly_matches_the_two_product_formula(case):
+    f, gens, corner = case
+    assume(not f.is_zero)
+    s = spoly(f, gens[0], corner)
+    expected = reference_spoly(f, gens[0], corner)
+    assert (s.terms, s.keys) == (expected.terms, expected.keys)
+    assert s.keys == [f.ring.key(m) for m, _ in s.terms]
+
+
+def test_exponent_overflow_inside_an_s_pair():
+    # The multiple x^65535 * (y^2 + x) of the S-pair holds x^65536.
+    ring = Ring(2, ("x", "y"), GLOBAL)
+    f, g = ring.poly({(65535, 1): 1}), parse_poly("y^2+x", ring)
+    for run in (lambda: spoly(f, g), lambda: complete_basis([f, g])):
+        with pytest.raises(UsageError, match=r"^exponent overflow: 65536 >= 65536$"):
+            run()
 
 
 # -- differential test against sympy --------------------------------------------

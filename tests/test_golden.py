@@ -22,6 +22,8 @@ GOLDEN = [
      "1dc3d3f38e724fc783e587a63390899fc587c4f5a2f37d0b716e9ecc427b82df", 0),
     (("classify", "--char", "3", "--max-n", "30"),
      "7d2370e50df805f6c8c6a980e6d0072fb3a2935db9c972a2d2dccb6185299c83", 0),
+    (("classify", "--char", "5", "--max-n", "30"),
+     "e46bea411971bd82c670acba5423ce45d5713b58e7f835ccb3190829d08484b2", 0),
     (("analyze", "--char", "2", "--vars", "x,y,z", "--poly", "z^2+x^3+y^5+y^3*z"),
      "77be074e0de31236dad68570504f43bb4b80d72d08c4f0945a92b433b3fd3c30", 1),
     (("oracle", "--char", "2", "--gens", "x^2,y^4+y^2*z,y^3,z^2+x^3+y^5+y^3*z"),

@@ -58,16 +58,16 @@ def test_bad_variable_names(name):
 
 
 def test_arithmetic_matches_field_reference():
-    # The raw-int coefficient arithmetic against sympy's GF(p), on random inputs.
+    # The raw-int coefficient arithmetic against sympy's GF(p), on random
+    # inputs under both orderings: f*g + f and f - g.
     from sympy.polys.domains import GF
 
     rng = random.Random(20240811)
     for _ in range(200):
         p = rng.choice([2, 3, 5, 7])
         field = GF(p, symmetric=False)
-        r = Ring(p, ("x", "y"), GLOBAL)
+        r = Ring(p, ("x", "y"), rng.choice([GLOBAL, LOCAL]))
         f, g = random_poly(rng, r), random_poly(rng, r)
-        h = f * g + f
         ref = {}
         for mf, cf in f.terms:
             for mg, cg in g.terms:
@@ -75,8 +75,11 @@ def test_arithmetic_matches_field_reference():
                 ref[m] = ref.get(m, field.zero) + field(cf) * field(cg)
         for mf, cf in f.terms:
             ref[mf] = ref.get(mf, field.zero) + field(cf)
-        expected = r.poly({m: int(c) for m, c in ref.items()})
-        assert h == expected
+        assert f * g + f == r.poly({m: int(c) for m, c in ref.items()})
+        ref = {m: field(c) for m, c in f.terms}
+        for mg, cg in g.terms:
+            ref[mg] = ref.get(mg, field.zero) - field(cg)
+        assert f - g == r.poly({m: int(c) for m, c in ref.items()})
 
 
 # -- partial derivatives ---------------------------------------------------

@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 from rdpdescent import OrderingTag, Ring
 from rdpdescent.errors import EngineLimitError
-from rdpdescent.gbasis import _Budget, _reduce, _truncate, complete_basis, spoly
+from rdpdescent.gbasis import _Budget, _truncate, complete_basis, spoly
 from rdpdescent.parse import parse_poly
 from rdpdescent.poly import MAX_EXPONENT, Polynomial, mono_mul
+from test_gbasis import reduce_poly
 
 GLOBAL = OrderingTag.GLOBAL_DEGREVLEX
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
@@ -134,11 +135,12 @@ def test_carried_keys_stay_fresh(case, bound):
     gens = [g] if h.is_zero else [g, h]
     before = [(r.terms, list(r.keys)) for r in (f, g, h)]
     try:
-        nf = _reduce(f, gens, _Budget(2000), corner)
+        nf = reduce_poly(f, gens, _Budget(2000), corner)
         basis = complete_basis([f] + gens, step_cap=2000)
     except EngineLimitError:
         nf = basis = None
-    # _reduce builds its heap from a copy of f's keys, never from the list.
+    # _reduce sums its seed into a dict and a heap of its own: f, g and h
+    # keep their terms and their key lists.
     for name, r, (terms, keys) in zip("fgh", (f, g, h), before):
         assert r.terms == terms and r.keys == keys, f"_reduce changed {name}"
         assert_keys_fresh(r, f"{name} after _reduce")
