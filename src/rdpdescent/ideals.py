@@ -12,8 +12,11 @@ are counted.
 The truncation oracle is pure linear algebra over F_p and shares no code
 with the Groebner engine.  Its rows are shifts m*g_i of the generators,
 with a handful of terms each, so they are kept sparse (a dict from column
-to coefficient) and eliminated lowest column first.  For increasing D it
-computes
+to coefficient) and eliminated lowest column first.  Most of them hold a
+single term on a column that is not yet a pivot; such a row is stored
+monic, with no elimination.  A run addresses monomials by its own
+packed integer key, linear in the exponents, so a shifted term costs one
+integer addition and one dict lookup.  For increasing D it computes
 
     lambda_D = dim_F  R / (I + m^D)
 
@@ -50,13 +53,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from heapq import heapify, heappop, heappush
-from operator import add
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import UsageError
 from .gbasis import (INFINITE, StandardBasis, complete_basis, normal_form,
                      standard_monomial_count)
-from .poly import Mono, OrderingTag, Polynomial, Ring, inv_mod
+from .poly import Mono, OrderingTag, Polynomial, Ring
 
 
 class _Unstable:
@@ -245,11 +248,14 @@ class _Echelon:
     A row is sparse: a dict from column to coefficient in [1, p), with no
     zero entries.  Pivot = lowest nonzero column of a row = its
     lowest-degree monomial.  Pivot rows are stored monic and vanish left of
-    their pivot; they are not reduced right of it."""
+    their pivot; they are not reduced right of it.  A one-term row whose
+    column is not yet a pivot is stored as {col: 1} without a sweep, and
+    rows are made monic through a table of the inverses mod p."""
 
     def __init__(self, p: int):
         self.p = p
         self.pivot_rows: Dict[int, Dict[int, int]] = {}
+        self.inverse = [0] + [pow(a, p - 2, p) for a in range(1, p)]
 
     def _sweep(self, row: Dict[int, int]) -> Optional[int]:
         """Reduce row in place against the pivots, lowest column first;
@@ -286,12 +292,18 @@ class _Echelon:
     def insert(self, row: Dict[int, int]) -> None:
         """Add a row (consumed) to the echelon form, unless it lies in the
         row space."""
+        if len(row) == 1:
+            (col,) = row
+            if col not in self.pivot_rows:
+                row[col] = 1
+                self.pivot_rows[col] = row
+                return
         col = self._sweep(row)
         if col is None:
             return
-        p = self.p
-        inv = inv_mod(row[col], p)
+        inv = self.inverse[row[col]]
         if inv != 1:
+            p = self.p
             row = {j: (v * inv) % p for j, v in row.items()}
         self.pivot_rows[col] = row
 
@@ -304,34 +316,53 @@ class _OracleRun:
     R/m^D, echelonized, from which lambda_d for every d <= D is read off
     the pivot columns and membership questions are answered.  The rows of
     each generator skip the multipliers that are pivot columns of the
-    earlier generators' rows (module docstring)."""
+    earlier generators' rows (module docstring).
+
+    A monomial is addressed by its key, its exponent vector read as the
+    digits of an integer in base 2D.  Only products of two monomials of
+    degree < D are looked up, and their exponents are digits, so the key
+    is injective on them; it is linear, so the key of m*t is key(m) +
+    key(t).  Each generator's terms below D are keyed once, and the row
+    m*g is then one addition and one lookup in `column` per term."""
 
     def __init__(self, gens: Sequence[Polynomial], workdeg: int):
         ring = gens[0].ring
         self.p = ring.p
         self.workdeg = workdeg
         self.n = n = ring.nvars
-        monos = [m for level in _monomials_by_degree(n, workdeg - 1) for m in level]
-        self.index = {m: i for i, m in enumerate(monos)}
+        self.weights = [(2 * workdeg) ** (n - 1 - i) for i in range(n)]
+        keys = [self._key(m) for level in _monomials_by_degree(n, workdeg - 1) for m in level]
+        self.column = {key: col for col, key in enumerate(keys)}
         self.ech = ech = _Echelon(self.p)
-        earlier = bytearray(len(monos))  # pivot columns of the earlier generators' rows
+        earlier = bytearray(len(keys))  # pivot columns of the earlier generators' rows
         for g in gens:
             for col in ech.pivot_rows:
                 earlier[col] = 1
+            terms = self._keyed(g)
             # The multipliers of degree < k are the first C(k - 1 + n, n)
             # columns; k = 0 when g has no terms below the working degree.
             k = max(workdeg - g.order(), 0)
             for col in range(math.comb(k - 1 + n, n)):
                 if not earlier[col]:
-                    ech.insert(self._row(g, monos[col]))
+                    ech.insert(self._row(terms, keys[col]))
         self.pivots = sorted(ech.pivot_rows)
 
-    def _row(self, g: Polynomial, mult: Mono) -> Dict[int, int]:
-        """mult*g truncated below the working degree."""
-        index = self.index
+    def _key(self, mono: Mono) -> int:
+        return sum(map(mul, mono, self.weights))
+
+    def _keyed(self, g: Polynomial) -> List[Tuple[int, int]]:
+        """(key, coefficient) of each term of g below the working degree;
+        the terms at or above it are dropped before they are keyed."""
+        workdeg = self.workdeg
+        return [(self._key(mono), c) for mono, c in g.terms if sum(mono) < workdeg]
+
+    def _row(self, terms: List[Tuple[int, int]], shift: int) -> Dict[int, int]:
+        """m*g truncated below the working degree, from g's keyed terms
+        and shift = key(m)."""
+        column = self.column
         row = {}
-        for mono, c in g.terms:
-            col = index.get(tuple(map(add, mono, mult)))
+        for key, c in terms:
+            col = column.get(key + shift)
             if col is not None:
                 row[col] = c
         return row
@@ -344,9 +375,9 @@ class _OracleRun:
         return below - bisect_left(self.pivots, below)
 
     def pure_power_in_span(self, var: int, through: int) -> bool:
+        # through < workdeg, so each power x_var^e is a column.
         for e in range(1, through + 1):
-            mono = tuple(e if i == var else 0 for i in range(self.n))
-            if self.ech.member({self.index[mono]: 1}):
+            if self.ech.member({self.column[e * self.weights[var]]: 1}):
                 return True
         return False
 
@@ -366,9 +397,14 @@ class _OracleRun:
         return None
 
 
-def _oracle_run(ideal: IdealPresentation, degree_cap: int) -> Tuple[object, Optional[_OracleRun]]:
+def _check_degree_cap(degree_cap: int) -> None:
     if degree_cap < 3:
         raise UsageError("degree cap must be at least 3")
+
+
+def _oracle_run(ideal: IdealPresentation, degree_cap: int) -> Tuple[object, Optional[_OracleRun]]:
+    """The certified value and the run that certified it; the caller has
+    checked the degree cap."""
     gens = [g for g in ideal.gens if not g.is_zero]
     if any(g.constant_coeff() != 0 for g in gens):
         return 0, None
@@ -395,6 +431,7 @@ def truncation_length_oracle(ideal: IdealPresentation, degree_cap: int = DEFAULT
     reached within the degree cap (in particular whenever the quotient has
     positive dimension at the origin).
     """
+    _check_degree_cap(degree_cap)
     value, _ = _oracle_run(ideal, degree_cap)
     return value
 
@@ -403,14 +440,16 @@ def truncation_contains(ideal: IdealPresentation, g: Polynomial,
                         degree_cap: int = DEFAULT_DEGREE_CAP):
     """Oracle-side membership in the localized ideal: valid because after
     stabilization m^d is known to lie inside it.  Returns True/False, or
-    UNSTABLE when the oracle could not certify a length."""
-    value, run = _oracle_run(ideal, degree_cap)
+    UNSTABLE when the oracle could not certify a length.  The degree cap
+    and the ring are checked before the oracle runs."""
+    _check_degree_cap(degree_cap)
     if g.ring != ideal.ring:
         raise UsageError("membership test across different ambient rings")
+    value, run = _oracle_run(ideal, degree_cap)
     if g.is_zero or (run is None and value == 0):
         return True  # 0 lies in every ideal, and g in one holding a unit
     if run is None:
         return UNSTABLE
     # Truncating g below the working degree is sound: past stabilization,
     # every monomial of degree >= workdeg lies in the extended ideal.
-    return run.ech.member(run._row(g, (0,) * g.ring.nvars))
+    return run.ech.member(run._row(run._keyed(g), 0))

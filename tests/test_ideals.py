@@ -1,4 +1,5 @@
 
+import hashlib
 import itertools
 import os
 import random
@@ -15,7 +16,8 @@ from rdpdescent import (INFINITE, HypersurfaceGerm, IdealPresentation,
                         jacobian_ideal, local_length, parse_poly,
                         truncation_contains, truncation_length_oracle)
 from rdpdescent.catalog import table_records
-from rdpdescent.ideals import DEFAULT_DEGREE_CAP, _Echelon, _oracle_run, _OracleRun
+from rdpdescent.ideals import (DEFAULT_DEGREE_CAP, _Echelon, _monomials_by_degree, _oracle_run,
+                               _OracleRun)
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
@@ -285,10 +287,9 @@ def test_oracle_unit_and_unstable():
     assert truncation_contains(zero, parse_poly("x", r)) is UNSTABLE
 
 
-def test_oracle_gives_up_at_its_column_bound(monkeypatch):
-    # (x, y) in three variables never stabilizes; the working degree grows
-    # until the monomials below it would exceed _MAX_COLUMNS, well before
-    # the default degree cap of 64.
+def log_oracle_runs(monkeypatch):
+    """The working degree of every _OracleRun construction, logged through
+    the module attribute that _oracle_run looks up."""
     workdegs = []
     real_run = rdpdescent.ideals._OracleRun
 
@@ -297,6 +298,14 @@ def test_oracle_gives_up_at_its_column_bound(monkeypatch):
         return real_run(gens, workdeg)
 
     monkeypatch.setattr(rdpdescent.ideals, "_OracleRun", logged_run)
+    return workdegs
+
+
+def test_oracle_gives_up_at_its_column_bound(monkeypatch):
+    # (x, y) in three variables never stabilizes; the working degree grows
+    # until the monomials below it would exceed _MAX_COLUMNS, well before
+    # the default degree cap of 64.
+    workdegs = log_oracle_runs(monkeypatch)
     assert truncation_length_oracle(ideal_of(["x", "y"])) is UNSTABLE
     assert workdegs and max(workdegs) < DEFAULT_DEGREE_CAP
 
@@ -335,6 +344,18 @@ def test_membership_across_rings_is_a_usage_error(p):
     with pytest.raises(UsageError, match="degree cap"):
         truncation_contains(I, parse_poly("y", other), degree_cap=2)
 
+
+def test_membership_across_rings_runs_no_oracle(monkeypatch):
+    # The ring is checked before the oracle runs: on the E_8^1 J^[p] at
+    # p = 5 the oracle would take two runs, at degrees 22 and 33.
+    rec = next(r for r in table_records() if (r.label, r.char) == ("E_8^1", 5))
+    germ = rec.germ()
+    bracket = bracket_ideal(jacobian_ideal(germ), germ)
+    workdegs = log_oracle_runs(monkeypatch)
+    other = Ring(5, ("x", "y"), LOCAL)
+    with pytest.raises(UsageError, match="different ambient rings"):
+        truncation_contains(bracket, parse_poly("y", other))
+    assert workdegs == []
 
 def test_oracle_matches_engine_on_sample():
     cases = [
@@ -455,12 +476,14 @@ def unskipped_pivots(gens, run):
     monomial below the run's working degree, truncated as the run
     truncates.  The run's span lies inside this one, so equal pivot
     columns mean equal spans."""
+    monos = [m for level in _monomials_by_degree(run.n, run.workdeg - 1) for m in level]
+    index = {m: i for i, m in enumerate(monos)}
     ech = _Echelon(run.p)
     for g in gens:
-        for mult in run.index:
+        for mult in index:
             row = {}
             for mono, c in g.terms:
-                col = run.index.get(tuple(a + b for a, b in zip(mono, mult)))
+                col = index.get(tuple(a + b for a, b in zip(mono, mult)))
                 if col is not None:
                     row[col] = c
             ech.insert(row)
@@ -542,6 +565,68 @@ def test_skipped_rows_e8_0_bracket_count(monkeypatch):
     assert counts == [11380, 150]
 
 
+#: For each of the 44 catalog ideals: the working degrees the oracle visits,
+#: and a sha1 of the final run's pivot columns (comma-joined).  Equal pivot
+#: columns at equal degrees leave every value and every UNSTABLE in place,
+#: however the columns are addressed inside a run.
+CATALOG_SCHEDULE = {
+    'E_6^0/p2 J': ((6,), 'a0953f6040fbe09bbc6d1bde016a4bc7e87a6472'),
+    'E_6^0/p2 J[p]': ((6, 9), 'b1a3df33710f2634b26516f37ea50b168653145f'),
+    'E_6^1/p2 J': ((6,), '22a1a956e1dabb18d7f58dcf49fd2c60a2520aab'),
+    'E_6^1/p2 J[p]': ((6, 9), '710c83fd37e9cdb50686c051b14c44882ca21303'),
+    'E_7^0/p2 J': ((6, 9), '4ec6ec6d731c2de0c1c46d11c31f6aac778cf7f3'),
+    'E_7^0/p2 J[p]': ((8, 12, 18), '3f3345ba9284dfce0e518a4ba55a79d53c601abd'),
+    'E_7^1/p2 J': ((6,), 'c171f5cb79d3bc6f906969cbb0c8dde8d5beee9f'),
+    'E_7^1/p2 J[p]': ((8, 12), '270d05c55569b54c91a46769a12f4d926de45b5a'),
+    'E_7^2/p2 J': ((6,), '4d2bc887e7ea8c95aaff48e6b3557be5576bcb54'),
+    'E_7^2/p2 J[p]': ((8, 12), 'f1df6ab9a19c914dbddad6c5ef583f8deed6b3f2'),
+    'E_7^3/p2 J': ((6,), '4e48cd2066a6a268a38cb7ecd4c5ce1480d6e99d'),
+    'E_7^3/p2 J[p]': ((8, 12), '4db6a89ea8c3351048093b840379c28139719e69'),
+    'E_8^0/p2 J': ((7,), 'e338f1cd2f386b9a9e4194c3e672f1a3df6a175f'),
+    'E_8^0/p2 J[p]': ((10, 15), 'fc16612203228fe5789db11af77851efe370464d'),
+    'E_8^1/p2 J': ((7,), 'c13646996b5d1b304e711083147cea4c7430b7d6'),
+    'E_8^1/p2 J[p]': ((10, 15), '3b8abf1e6b3d527c9fe4998afdab1867ec0c80c2'),
+    'E_8^2/p2 J': ((7,), '70377658a14803820b8e5fad40cecd52017c1ecc'),
+    'E_8^2/p2 J[p]': ((10, 15), 'fcb045bb2886af90d887fea0bf61305455508a5d'),
+    'E_8^3/p2 J': ((7,), '34866f2b7d3f85dc29f078e313f7cb23415e9fb2'),
+    'E_8^3/p2 J[p]': ((10,), '8de0b9388162e667b60b8415bfa33ac43ba14c2f'),
+    'E_8^4/p2 J': ((7,), 'f28081c8eedb2e0075f8a1c54e69ae4131352355'),
+    'E_8^4/p2 J[p]': ((10,), 'e76faa1ea233bfe545499c67f27c2a10f4bbad0d'),
+    'E_6^0/p3 J': ((6,), '4808b697ebe357a0785505bdba05afa14d114dcc'),
+    'E_6^0/p3 J[p]': ((11, 16), '94a7d5ae0f9b717354f36eaf36daa71a1ee68fd9'),
+    'E_6^1/p3 J': ((6,), '36ed1e2efae1bf6fe97049e7ffd082330b9b5760'),
+    'E_6^1/p3 J[p]': ((11, 16), '1c34dce8138e2e323138abf6c56da1fdfe0104bb'),
+    'E_7^0/p3 J': ((6,), '4808b697ebe357a0785505bdba05afa14d114dcc'),
+    'E_7^0/p3 J[p]': ((11, 16), '94a7d5ae0f9b717354f36eaf36daa71a1ee68fd9'),
+    'E_7^1/p3 J': ((6,), '8f17398ed7aa6f6a6d227574d6aaf1b8bd27c01b'),
+    'E_7^1/p3 J[p]': ((11, 16), '4e6d5e6bf62f94e1f5f137ce5a5e3cfa743d9970'),
+    'E_8^0/p3 J': ((7,), '6397dd72a9bb32bddeb15c66b5c99b6cecdb659c'),
+    'E_8^0/p3 J[p]': ((14, 21), '1209c263195ebc698440de04e6a7d7cc9244d9f0'),
+    'E_8^1/p3 J': ((7,), 'c8824b389119918218497502f664aeaea0597a25'),
+    'E_8^1/p3 J[p]': ((14, 21), '7db64afc65c19d98b607e801f94ffb5833441900'),
+    'E_8^2/p3 J': ((7,), 'f8835516d37113e0c7b1eb2d6ced60fba130dba2'),
+    'E_8^2/p3 J[p]': ((14, 21), '313d6794040477099998ee796b55f498f2dab1d6'),
+    'E_6/p5 J': ((6,), '84126c5c7df8a1d5a7b5aa3b4020ab486aef734b'),
+    'E_6/p5 J[p]': ((17, 25), '57af4ac599d0c2e4d3a5eacad28785b8560b02e8'),
+    'E_7/p5 J': ((6,), '2335b915267ead64df5b594e8762a76f660faaac'),
+    'E_7/p5 J[p]': ((17, 25), '228d63e48eb8e5cec5f62de5da0b04c1dd6c90df'),
+    'E_8^0/p5 J': ((7,), '9ebffe550fe64d74183538d9952a8933af7e9fd2'),
+    'E_8^0/p5 J[p]': ((12, 18, 27, 40), 'dcd9fd59c064ff9b3abf2af3c9ea7aef83dca657'),
+    'E_8^1/p5 J': ((7,), '9694642c98738eddf159b4dcb19415139a4a1f11'),
+    'E_8^1/p5 J[p]': ((22, 33), '4da4a39d4569a34dfa114dd08868431e22aa3fa5'),
+}
+
+
+def test_catalog_schedule_and_pivots_are_pinned(monkeypatch):
+    workdegs = log_oracle_runs(monkeypatch)
+    seen = {}
+    for label, ideal in catalog_oracle_ideals():
+        workdegs.clear()
+        _, run = _oracle_run(ideal, DEFAULT_DEGREE_CAP)
+        digest = hashlib.sha1(",".join(map(str, run.pivots)).encode()).hexdigest()
+        seen[label] = (tuple(workdegs), digest)
+    assert seen == CATALOG_SCHEDULE
+
 def test_oracle_membership_truncates_above_the_working_degree():
     I = ideal_of(["x^2", "y^3"], 5, ("x", "y"))
     r = I.ring
@@ -571,6 +656,35 @@ def test_oracle_membership_matches_the_engine_with_high_terms():
                               for k in range(0, top + 1, 3)})
             g = low + high
             assert truncation_contains(I, g) is contains(I, g), (p, gens, g)
+
+
+def test_oracle_keys_do_not_alias_high_exponents():
+    # The oracle keys a monomial by its exponents read as digits in base
+    # twice the working degree D.  Terms of degree >= D are dropped before
+    # they are keyed; kept, a power of the last variable would land on a
+    # column (z^(2*D+1) on y*z).  The probes run x^e and the last variable's
+    # powers, so a key with either digit order is caught.  In three
+    # variables z^2 makes (x^2, y^3) primary to the maximal ideal.
+    for names, extra in ((("x", "y"), []), (("x", "y", "z"), ["z^2"])):
+        I = ideal_of(["x^2", "y^3"] + extra, 5, names)
+        r = I.ring
+        n = len(names)
+        x, y, last = (parse_poly(v, r) for v in ("x", "y", names[-1]))
+        _, run = _oracle_run(I, DEFAULT_DEGREE_CAP)
+        for e in range(4 * run.workdeg + 1):
+            x_e = r.poly({(e,) + (0,) * (n - 1): 1})
+            last_e = r.poly({(0,) * (n - 1) + (e,): 1})
+            for g in (x_e, x_e * y + y, last_e, last_e * x + x):
+                assert truncation_contains(I, g) is contains(I, g), (names, e, g)
+    for names, srcs in ((("x", "y"), ["x^2+y^{h}", "y^3+x^{h}*y"]),
+                        (("x", "y", "z"), ["x^2+z^{h}", "y^3+x^{h}*z", "z^2+x*y*z^{h}"])):
+        r = lring(5, names)
+        for workdeg in (4, 6, 7):
+            for h in (2 * workdeg + 1, 5 * workdeg):
+                gens = [parse_poly(src.format(h=h), r) for src in srcs]
+                run = _OracleRun(gens, workdeg)
+                for d in range(workdeg + 1):
+                    assert run.quotient_dim(d) == macaulay_quotient_dim(gens, d), (gens, workdeg, d)
 
 
 def test_oracle_cli_imports_no_numpy():
