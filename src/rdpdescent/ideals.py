@@ -14,9 +14,11 @@ with the Groebner engine.  Its rows are shifts m*g_i of the generators,
 with a handful of terms each, so they are kept sparse (a dict from column
 to coefficient) and eliminated lowest column first.  Most of them hold a
 single term on a column that is not yet a pivot; such a row is stored
-monic, with no elimination.  A run addresses monomials by its own
-packed integer key, linear in the exponents, so a shifted term costs one
-integer addition and one dict lookup.  For increasing D it computes
+monic, with no elimination.  A column is a packed integer key, the
+monomial's total degree followed by its exponents as digits: it is
+linear in the exponents, so a shifted term costs one integer addition,
+and its order is the column order, so no table maps monomials to
+columns.  For increasing D it computes
 
     lambda_D = dim_F  R / (I + m^D)
 
@@ -233,15 +235,6 @@ def is_parameter_ideal(ideal: IdealPresentation, step_cap: Optional[int] = None)
 # Truncation oracle
 # ---------------------------------------------------------------------------
 
-def _monomials_by_degree(n: int, maxdeg: int) -> List[List[Mono]]:
-    """All exponent tuples of each total degree 0..maxdeg, in increasing
-    lexicographic order within a degree."""
-    if n == 1:
-        return [[(d,)] for d in range(maxdeg + 1)]
-    rest = _monomials_by_degree(n - 1, maxdeg)
-    return [[(e,) + m for e in range(d + 1) for m in rest[d - e]] for d in range(maxdeg + 1)]
-
-
 class _Echelon:
     """Row echelon form over F_p with monomial columns sorted by degree.
 
@@ -318,66 +311,76 @@ class _OracleRun:
     each generator skip the multipliers that are pivot columns of the
     earlier generators' rows (module docstring).
 
-    A monomial is addressed by its key, its exponent vector read as the
-    digits of an integer in base 2D.  Only products of two monomials of
-    degree < D are looked up, and their exponents are digits, so the key
-    is injective on them; it is linear, so the key of m*t is key(m) +
-    key(t).  Each generator's terms below D are keyed once, and the row
-    m*g is then one addition and one lookup in `column` per term."""
+    A column is a monomial's key: its total degree followed by its
+    exponents, read as the digits of an integer in base B = 2D,
+
+        key(m) = deg(m)*B^n + sum_i e_i*B^(n-1-i) = sum_i e_i*(B^n + B^(n-1-i)).
+
+    Only products of two monomials of degree < D are keyed, and their
+    degree and exponents are digits, so the key is injective on them.  It
+    is linear, so the key of m*t is key(m) + key(t), and its integer order
+    is the column order, by degree, then lexicographic: the columns below
+    degree d are the keys below d*B^n.  The multipliers are enumerated as
+    keys, a generator's terms below D are keyed once, and the row m*g is
+    one addition per term t of g that m*t keeps below D; those terms are a
+    prefix of g's terms sorted by key.
+    """
 
     def __init__(self, gens: Sequence[Polynomial], workdeg: int):
         ring = gens[0].ring
         self.p = ring.p
         self.workdeg = workdeg
         self.n = n = ring.nvars
-        self.weights = [(2 * workdeg) ** (n - 1 - i) for i in range(n)]
-        keys = [self._key(m) for level in _monomials_by_degree(n, workdeg - 1) for m in level]
-        self.column = {key: col for col, key in enumerate(keys)}
+        base = 2 * workdeg
+        self.unit = base ** n  # the place of the degree digit
+        self.weights = [self.unit + base ** (n - 1 - i) for i in range(n)]
         self.ech = ech = _Echelon(self.p)
-        earlier = bytearray(len(keys))  # pivot columns of the earlier generators' rows
-        for g in gens:
-            for col in ech.pivot_rows:
-                earlier[col] = 1
+        orders = [g.order() for g in gens]
+        # Multipliers of degree < D - ord g; none when g has no terms below D.
+        levels = self._keys_by_degree(workdeg - 1 - min(orders))
+        for g, order in zip(gens, orders):
+            earlier = set(ech.pivot_rows)  # pivot columns of the earlier generators' rows
             terms = self._keyed(g)
-            # The multipliers of degree < k are the first C(k - 1 + n, n)
-            # columns; k = 0 when g has no terms below the working degree.
-            k = max(workdeg - g.order(), 0)
-            for col in range(math.comb(k - 1 + n, n)):
-                if not earlier[col]:
-                    ech.insert(self._row(terms, keys[col]))
+            for d in range(workdeg - order):
+                # m of degree d keeps the terms t of degree < D - d.
+                kept = terms[:bisect_left(terms, ((workdeg - d) * self.unit,))]
+                for shift in levels[d]:
+                    if shift not in earlier:
+                        ech.insert({key + shift: c for key, c in kept})
         self.pivots = sorted(ech.pivot_rows)
+
+    def _keys_by_degree(self, maxdeg: int) -> List[List[int]]:
+        """The keys of the monomials of each degree 0..maxdeg, increasing
+        (lexicographic) within a degree."""
+        weights = self.weights
+        # levels[d]: the keys of the degree-d monomials in the last j
+        # variables, for j = 1, then 2, ..., n.
+        levels = [[d * weights[-1]] for d in range(maxdeg + 1)]
+        for w in reversed(weights[:-1]):
+            levels = [[e * w + k for e in range(d + 1) for k in levels[d - e]]
+                      for d in range(maxdeg + 1)]
+        return levels
 
     def _key(self, mono: Mono) -> int:
         return sum(map(mul, mono, self.weights))
 
     def _keyed(self, g: Polynomial) -> List[Tuple[int, int]]:
-        """(key, coefficient) of each term of g below the working degree;
-        the terms at or above it are dropped before they are keyed."""
+        """(key, coefficient) of each term of g below the working degree,
+        sorted by key; the terms at or above it are dropped before they
+        are keyed."""
         workdeg = self.workdeg
-        return [(self._key(mono), c) for mono, c in g.terms if sum(mono) < workdeg]
-
-    def _row(self, terms: List[Tuple[int, int]], shift: int) -> Dict[int, int]:
-        """m*g truncated below the working degree, from g's keyed terms
-        and shift = key(m)."""
-        column = self.column
-        row = {}
-        for key, c in terms:
-            col = column.get(key + shift)
-            if col is not None:
-                row[col] = c
-        return row
+        return sorted((self._key(mono), c) for mono, c in g.terms if sum(mono) < workdeg)
 
     def quotient_dim(self, d: int) -> int:
-        """lambda_d = dim R/(I + m^d).  Columns run by degree, so the
-        monomials of degree < d are the first C(d - 1 + n, n) columns, and
-        lambda_d is their number less the pivot columns below it."""
-        below = math.comb(d - 1 + self.n, self.n)
-        return below - bisect_left(self.pivots, below)
+        """lambda_d = dim R/(I + m^d): the C(d - 1 + n, n) monomials of
+        degree < d, whose keys are those below d*B^n, less the pivot
+        columns among them."""
+        return math.comb(d - 1 + self.n, self.n) - bisect_left(self.pivots, d * self.unit)
 
     def pure_power_in_span(self, var: int, through: int) -> bool:
         # through < workdeg, so each power x_var^e is a column.
         for e in range(1, through + 1):
-            if self.ech.member({self.column[e * self.weights[var]]: 1}):
+            if self.ech.member({e * self.weights[var]: 1}):
                 return True
         return False
 
@@ -452,4 +455,4 @@ def truncation_contains(ideal: IdealPresentation, g: Polynomial,
         return UNSTABLE
     # Truncating g below the working degree is sound: past stabilization,
     # every monomial of degree >= workdeg lies in the extended ideal.
-    return run.ech.member(run._row(run._keyed(g), 0))
+    return run.ech.member(dict(run._keyed(g)))

@@ -8,6 +8,8 @@ import sys
 import textwrap
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rdpdescent
 from rdpdescent import (INFINITE, HypersurfaceGerm, IdealPresentation,
@@ -16,8 +18,7 @@ from rdpdescent import (INFINITE, HypersurfaceGerm, IdealPresentation,
                         jacobian_ideal, local_length, parse_poly,
                         truncation_contains, truncation_length_oracle)
 from rdpdescent.catalog import table_records
-from rdpdescent.ideals import (DEFAULT_DEGREE_CAP, _Echelon, _monomials_by_degree, _oracle_run,
-                               _OracleRun)
+from rdpdescent.ideals import DEFAULT_DEGREE_CAP, _Echelon, _oracle_run, _OracleRun
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
@@ -369,6 +370,23 @@ def test_oracle_matches_engine_on_sample():
         assert truncation_length_oracle(I) == local_length(I)
 
 
+@pytest.mark.parametrize("p, names, srcs, length", [
+    (3, ("x",), ["x^5"], 5),
+    (2, ("a", "b", "c", "d"), ["a^2", "b^2", "c^2", "d^2+a*b"], 16),
+    (5, ("a", "b", "c", "d", "e", "f"), ["a^2+b^3", "b^2", "c^2", "d^2", "e^2", "f^2+a*c"], 64),
+])
+def test_oracle_matches_engine_outside_three_variables(p, names, srcs, length):
+    # The catalog has three variables only; the key's digits and the
+    # multiplier enumeration depend on n.
+    I = ideal_of(srcs, p, names)
+    assert truncation_length_oracle(I) == local_length(I) == length
+    r = I.ring
+    corner = r.poly({(1,) * len(names): 1})  # the product of the variables
+    for g in (corner, corner * parse_poly(names[0], r), parse_poly(f"{names[-1]}^2", r)):
+        assert truncation_contains(I, g) is contains(I, g), g
+    assert truncation_contains(I, corner) is False
+
+
 # -- ideal-level properties ----------------------------------------------------------
 
 def test_length_monotone_under_inclusion():
@@ -469,15 +487,60 @@ def test_oracle_quotient_dims_match_a_dense_rank():
     assert checked >= 200
 
 
+# -- the oracle's column keys ------------------------------------------------------
+
+def monomials_by_degree(n, maxdeg):
+    """All exponent tuples of each total degree 0..maxdeg, in increasing
+    lexicographic order within a degree: the oracle's column order."""
+    if n == 1:
+        return [[(d,)] for d in range(maxdeg + 1)]
+    rest = monomials_by_degree(n - 1, maxdeg)
+    return [[(e,) + m for e in range(d + 1) for m in rest[d - e]] for d in range(maxdeg + 1)]
+
+
+def columns_below(n, workdeg):
+    return [m for level in monomials_by_degree(n, workdeg - 1) for m in level]
+
+
+def pivot_ranks(run):
+    """The run's pivot columns, each read as the rank of its monomial in
+    the column order (degree, then lex), so pivots compare across any
+    column addressing."""
+    rank = {run._key(m): i for i, m in enumerate(columns_below(run.n, run.workdeg))}
+    return [rank[key] for key in run.pivots]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 5), workdeg=st.integers(3, 12), data=st.data())
+def test_oracle_keys_are_degree_led_and_linear(n, workdeg, data):
+    # A run whose one generator lies in m^D inserts no row; only its key
+    # is read here.
+    ring = lring(2, ("a", "b", "c", "d", "e")[:n])
+    run = _OracleRun([ring.poly({(workdeg,) + (0,) * (n - 1): 1})], workdeg)
+    assert run.pivots == []
+    key = run._key
+    below = monomials_below(n, workdeg)
+    columns = columns_below(n, workdeg)
+    assert columns == sorted(below, key=lambda m: (sum(m), m))
+    assert sorted(map(key, below)) == list(map(key, columns))
+    assert len(set(map(key, below))) == len(below)
+    assert [k for level in run._keys_by_degree(workdeg - 1) for k in level] == list(map(key, columns))
+    limit = workdeg * run.unit
+    for _ in range(10):
+        m, t = data.draw(st.sampled_from(columns)), data.draw(st.sampled_from(columns))
+        mt = tuple(a + b for a, b in zip(m, t))
+        assert key(mt) == key(m) + key(t)
+        assert (key(mt) < limit) is (sum(mt) < workdeg)
+
+
 # -- the skipped rows (F5 criterion) ---------------------------------------------------
 
 def unskipped_pivots(gens, run):
-    """Pivot columns of a fresh echelon form fed every row m*g, m any
-    monomial below the run's working degree, truncated as the run
-    truncates.  The run's span lies inside this one, so equal pivot
-    columns mean equal spans."""
-    monos = [m for level in _monomials_by_degree(run.n, run.workdeg - 1) for m in level]
-    index = {m: i for i, m in enumerate(monos)}
+    """Pivot columns, as ranks in the column order, of a fresh echelon
+    form fed every row m*g, m any monomial below the run's working degree,
+    truncated as the run truncates.  The run's span lies inside this one,
+    so equal pivot columns mean equal spans."""
+    index = {m: i for i, m in enumerate(columns_below(run.n, run.workdeg))}
     ech = _Echelon(run.p)
     for g in gens:
         for mult in index:
@@ -508,7 +571,7 @@ def test_skipped_rows_keep_the_catalog_pivots():
         _, run = _oracle_run(ideal, DEFAULT_DEGREE_CAP)
         assert run is not None, label
         gens = [g for g in ideal.gens if not g.is_zero]
-        assert run.pivots == unskipped_pivots(gens, run), label
+        assert pivot_ranks(run) == unskipped_pivots(gens, run), label
 
 
 def test_skipped_rows_keep_random_pivots():
@@ -527,7 +590,7 @@ def test_skipped_rows_keep_random_pivots():
         gens.insert(rng.randint(0, len(gens)), rng.choice(gens))
         gens.insert(rng.randint(0, len(gens)), high)
         run = _OracleRun(gens, workdeg)
-        assert run.pivots == unskipped_pivots(gens, run), (p, gens, workdeg)
+        assert pivot_ranks(run) == unskipped_pivots(gens, run), (p, gens, workdeg)
 
 
 def count_inserts(monkeypatch):
@@ -566,9 +629,10 @@ def test_skipped_rows_e8_0_bracket_count(monkeypatch):
 
 
 #: For each of the 44 catalog ideals: the working degrees the oracle visits,
-#: and a sha1 of the final run's pivot columns (comma-joined).  Equal pivot
-#: columns at equal degrees leave every value and every UNSTABLE in place,
-#: however the columns are addressed inside a run.
+#: and a sha1 of the final run's pivot columns, read as ranks in the column
+#: order (comma-joined).  Equal pivot columns at equal degrees leave every
+#: value and every UNSTABLE in place, however the columns are addressed
+#: inside a run.
 CATALOG_SCHEDULE = {
     'E_6^0/p2 J': ((6,), 'a0953f6040fbe09bbc6d1bde016a4bc7e87a6472'),
     'E_6^0/p2 J[p]': ((6, 9), 'b1a3df33710f2634b26516f37ea50b168653145f'),
@@ -623,7 +687,7 @@ def test_catalog_schedule_and_pivots_are_pinned(monkeypatch):
     for label, ideal in catalog_oracle_ideals():
         workdegs.clear()
         _, run = _oracle_run(ideal, DEFAULT_DEGREE_CAP)
-        digest = hashlib.sha1(",".join(map(str, run.pivots)).encode()).hexdigest()
+        digest = hashlib.sha1(",".join(map(str, pivot_ranks(run))).encode()).hexdigest()
         seen[label] = (tuple(workdegs), digest)
     assert seen == CATALOG_SCHEDULE
 
@@ -659,12 +723,13 @@ def test_oracle_membership_matches_the_engine_with_high_terms():
 
 
 def test_oracle_keys_do_not_alias_high_exponents():
-    # The oracle keys a monomial by its exponents read as digits in base
-    # twice the working degree D.  Terms of degree >= D are dropped before
-    # they are keyed; kept, a power of the last variable would land on a
-    # column (z^(2*D+1) on y*z).  The probes run x^e and the last variable's
-    # powers, so a key with either digit order is caught.  In three
-    # variables z^2 makes (x^2, y^3) primary to the maximal ideal.
+    # The oracle keys a monomial by its degree and exponents read as digits
+    # in base twice the working degree D.  Terms of degree >= D may carry
+    # exponents that are no digits, and they are dropped before they are
+    # keyed; a key without the degree digit would put z^(2*D+1) on y*z.
+    # The probes run x^e and the last variable's powers, so a key with
+    # either digit order is caught.  In three variables z^2 makes
+    # (x^2, y^3) primary to the maximal ideal.
     for names, extra in ((("x", "y"), []), (("x", "y", "z"), ["z^2"])):
         I = ideal_of(["x^2", "y^3"] + extra, 5, names)
         r = I.ring
