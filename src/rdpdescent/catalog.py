@@ -125,7 +125,7 @@ def _validate(rec: SingularityRecord):
     if rec.pic_order != pic_order_for(rec.dynkin, rec.n):
         raise UsageError(f"{rec.label}: stored Picard order {rec.pic_order} disagrees "
                          f"with the classification value {pic_order_for(rec.dynkin, rec.n)}")
-    if rec.ref_len_j is not None and rec.ref_len_j <= 0:
+    if any(length is not None and length <= 0 for length in (rec.ref_len_j, rec.ref_len_jp)):
         raise UsageError(f"{rec.label}: stored lengths must be positive")
 
 

@@ -361,44 +361,42 @@ def _staircase(lms: Sequence[Mono]) -> tuple:
     for the unit ideal; (INFINITE, None) when some variable has no pure
     power among lms (or lms is empty), so that infinitely many lie outside.
 
-    The monomials outside lie in the box below the pure powers.  With the
-    variables ordered by increasing pure power, the sweep loops over the
-    box in all but the last two exponents and sweeps the next-to-last one;
-    the admissible last exponents are those below the running minimum of
-    the last exponent over the generators that divide the current prefix.
+    The sweep cuts the monomials outside into slabs of the last exponent.
+    For consecutive values b < b' of it among the generators, u*x_n^e with
+    b <= e < b' lies outside just when u lies outside the slice: the ideal
+    of the other exponents of the generators whose last one is <= b.  A
+    slab adds (b' - b) * count(slice) to the count and b' - 1 +
+    corner(slice) to the candidates for the corner.  The slabs end at the
+    pure power of x_n, the first generator whose other exponents are 0,
+    that is, whose first nonzero exponent (carried with it) is the last;
+    one variable gives (a, a) for the least exponent a.  Slices wait on a
+    worklist, not on the call stack, which one frame per variable would
+    overflow.
     """
     if not lms:
         return INFINITE, None
     n = len(lms[0])
-    powers = [None] * n
-    for m in lms:
-        d = mono_deg(m)
-        if d == 0:
-            return 0, 0
-        for i, e in enumerate(m):
-            if e == d and (powers[i] is None or e < powers[i]):
-                powers[i] = e
-    if None in powers:
+    # pure powers of x_i, and the unit monomial, which counts for every x_i
+    if len({i for m in lms for d in [mono_deg(m)] for i, e in enumerate(m) if e == d}) < n:
         return INFINITE, None
-    if n == 1:
-        return powers[0], powers[0]
-    order = sorted(range(n), key=powers.__getitem__)
-    box = [powers[i] for i in order]
-    gens = [tuple(m[i] for i in order) for m in lms]
     count = corner = 0
-    for prefix in itertools.product(*(range(b) for b in box[:n - 2])):
-        live = sorted((g for g in gens if all(e <= x for e, x in zip(g, prefix))),
-                      key=lambda g: g[n - 2])
-        base = sum(prefix)
-        runmin, k = box[n - 1], 0
-        for e in range(box[n - 2]):
-            while k < len(live) and live[k][n - 2] <= e:
-                runmin = min(runmin, live[k][n - 1])
-                k += 1
-            if runmin == 0:
+    work = [([(next((i for i, e in enumerate(m) if e), n), m) for m in lms], n, 1, 0)]
+    while work:
+        gens, k, width, offset = work.pop()
+        if k == 1:
+            a = min(m[0] for _, m in gens)
+            count += width * a
+            corner = max(corner, offset + a)
+            continue
+        k -= 1
+        gens.sort(key=lambda g: g[1][k])
+        b = 0
+        for j, (first, m) in enumerate(gens):
+            if m[k] > b:
+                work.append((gens[:j], k, width * (m[k] - b), offset + m[k] - 1))
+                b = m[k]
+            if first >= k:
                 break
-            count += runmin
-            corner = max(corner, base + e + runmin)
     return count, corner
 
 

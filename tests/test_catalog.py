@@ -1,7 +1,9 @@
+import dataclasses
+
 import pytest
 
 from rdpdescent import UsageError, parse_poly, render
-from rdpdescent.catalog import (E6_0_CHAR2_NOTE, all_records, instantiate,
+from rdpdescent.catalog import (E6_0_CHAR2_NOTE, _validate, all_records, instantiate,
                                 pic_order_for, table_records)
 
 
@@ -96,6 +98,15 @@ def test_stored_lengths_and_verdicts_present():
         assert rec.ref_theta_free is not None
         assert rec.known_verdict in ("DESCENDS", "BLOCKED")
         assert rec.citation
+
+
+@pytest.mark.parametrize("field", ["ref_len_j", "ref_len_jp"])
+@pytest.mark.parametrize("value", [0, -3])
+def test_validation_rejects_stored_lengths_below_one(field, value):
+    rec = table_records()[0]
+    _validate(rec)
+    with pytest.raises(UsageError, match="stored lengths must be positive"):
+        _validate(dataclasses.replace(rec, **{field: value}))
 
 
 def test_e6_0_char2_discrepancy_note():

@@ -394,6 +394,24 @@ def test_oracle_reads_vars(capsys):
     assert payload["engine_length"] == payload["oracle_length"] == 6
 
 
+def test_analyze_in_twelve_variables(capsys):
+    # at p = 2, J = (v_i^2), so the Tjurina number is 2^12
+    names = [f"v{i}" for i in range(12)]
+    code, payload, _ = run_json(capsys, "analyze", "--char", "2", "--vars", ",".join(names),
+                                "--poly", "+".join(f"{v}^3" for v in names))
+    assert code == 1
+    assert payload["verdict"]["outcome"] == "BLOCKED"
+    tj = next(c for c in payload["criteria"] if c["id"] == "TJURINA_P_DIVISIBLE")
+    assert tj["witness"]["tjurina"] == 4096
+
+
+def test_oracle_on_a_four_variable_bracket(capsys):
+    code, payload, _ = run_json(capsys, "oracle", "--char", "2", "--vars", "a,b,c,d",
+                                "--gens", "a^4,b^4,c^4,d^4,a^3+b^3+c^3+d^3")
+    assert code == 0
+    assert payload["engine_length"] == payload["oracle_length"] == 136
+
+
 def test_main_builds_no_parser_per_call(capsys, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__

@@ -3,6 +3,7 @@ and truncated bases checked against the S-pair criterion and the
 independent truncation oracle.  The property test against a brute-force
 scan is in test_corner_property.py, which needs hypothesis."""
 
+import math
 import random
 
 import pytest
@@ -37,6 +38,30 @@ def test_staircase_record_is_count_and_corner():
     assert empty.corner is None
     assert not is_dimension_zero(empty)
     assert standard_monomial_count(empty) == INFINITE
+
+
+def pure_powers(exponents):
+    n = len(exponents)
+    return [tuple(a if j == i else 0 for j in range(n)) for i, a in enumerate(exponents)]
+
+
+def test_staircase_of_pure_powers_has_the_closed_form():
+    # outside (x_1^a_1, ..., x_n^a_n): the box below the powers, whose top
+    # monomial has every exponent a_i - 1
+    rng = random.Random(16)
+    for n in range(1, 17):
+        a = [rng.randint(1, 4) for _ in range(n)]
+        lms = pure_powers(a)
+        rng.shuffle(lms)
+        assert _staircase(lms) == (math.prod(a), sum(a) - n + 1), a
+
+
+def test_staircase_takes_no_frame_per_variable():
+    # far more variables than the interpreter's recursion limit allows frames
+    n = 1100
+    assert _staircase(pure_powers([2] * n)) == (2 ** n, n + 1)
+    assert _staircase(pure_powers([1] * n)) == (1, 1)
+
 
 def test_global_and_positive_dimensional_bases_have_no_corner():
     ring = Ring(2, ("x", "y", "z"), LOCAL)
