@@ -34,7 +34,8 @@ from .errors import EngineLimitError, UsageError
 from .gbasis import DEFAULT_STEP_CAP
 # jacobian_ideal and bracket_ideal are not called here; they stay names of
 # this module because perfbench/spans.py wraps them on every module that
-# hands work to the ideal layer.
+# hands work to the ideal layer (pinned by tests/test_cli.py::
+# test_traced_runs_find_every_name_the_benchmark_wraps).
 from .ideals import (HypersurfaceGerm, IdealPresentation, bracket_ideal,  # noqa: F401
                      jacobian_ideal, length_tag, local_length,
                      truncation_length_oracle, DEFAULT_DEGREE_CAP, UNSTABLE)

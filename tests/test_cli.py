@@ -24,6 +24,14 @@ def run_json(capsys, *argv):
     return code, json.loads(out), err
 
 
+def subprocess_env(**extra):
+    """The environment of a child interpreter that imports the rdpdescent
+    under test, whether it is installed or only on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rdpdescent.__file__)))
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(path), **extra)
+
+
 def test_analyze_nondescent_example(capsys):
     code, payload, err = run_json(capsys, "analyze", "--char", "2",
                                   "--vars", "x,y,z", "--poly", "z^2+x^3+y^5+y^3*z")
@@ -117,6 +125,15 @@ def test_tables_char2_all_match(capsys):
                      (16, 64), (14, 56), (12, 48), (10, 44), (8, 37)]
 
 
+def test_tables_char5_fits_the_work_gate(capsys):
+    # The E_8^1 bracket at p = 5 is the largest published completion
+    # (1,560 units of work). It fits this cap only with the
+    # Gebauer-Moeller pair criteria; a completion over it exits 3.
+    code, payload, _ = run_json(capsys, "tables", "--char", "5", "--step-cap", "2000")
+    assert code == 0
+    assert payload["all_match"] is True
+
+
 def test_tables_row_of_a_non_isolated_equation():
     # x*y is singular along the z-axis: neither J nor J^[p] is m-primary.
     rec = dataclasses.replace(table_records()[0], equation="x*y")
@@ -168,6 +185,15 @@ def test_classify_char2_summary(capsys):
     assert payload["descending"] == ["A_1", "A_3", "A_7", "D_4^0", "D_5^0",
                                      "D_6^0", "D_7^0", "D_8^0", "E_7^0", "E_8^0"]
     assert payload["notes"] and payload["notes"][0]["label"] == "E_6^0"
+
+
+def test_classify_char2_fits_the_work_gate(capsys):
+    # The largest single completion of the D_n^r sweep up to n = 30 at
+    # p = 2 spends 65 units of work; a completion over this cap exits 3.
+    code, payload, _ = run_json(capsys, "classify", "--char", "2", "--max-n", "30",
+                                "--step-cap", "100")
+    assert code == 0
+    assert payload["all_match"] is True
 
 
 def test_classify_finishes_under_an_engine_limit(capsys):
@@ -260,14 +286,57 @@ def test_oracle_e6_0_bracket(capsys):
     assert payload["engine_length"] == 32 and payload["oracle_length"] == 32
 
 
-def test_json_output_is_byte_identical_across_runs(capsys):
-    argv = ["analyze", "--char", "2", "--poly", "z^2+x^3+y^5+y^3*z", "--json"]
-    main(list(argv))
-    first = capsys.readouterr().out
-    main(list(argv))
-    second = capsys.readouterr().out
+def _both_routes(report):
+    return report["engine_length"], report["oracle_length"]
+
+
+def _tjurina(report):
+    tj = next(c for c in report["criteria"] if c["id"] == "TJURINA_P_DIVISIBLE")
+    return tj["witness"]["tjurina"]
+
+
+TEN = [f"v{i}" for i in range(10)]
+
+# Each entry is a command line run with --json, its exit code and, where no
+# other test pins it, a figure of its report with the figure's value.  Only
+# the analyze entries exit 1 (BLOCKED); for tables, classify and oracle, 1
+# means a mismatch or a disagreement.
+CROSS_PROCESS = [
+    ("tables --char 5", 0, None, None),
+    ("classify --char 3 --max-n 30", 0, None, None),
+    ("classify --char 5 --max-n 30", 0, None, None),
+    # wall-clock timings appear only in text mode
+    ("analyze --char 2 --vars x,y,z --poly z^2+x^3+y^5+y^3*z", 1,
+     lambda report: report["timings_ms"], {}),
+    # a staircase in ten variables: at p = 2, J = (v_i^2)
+    (f"analyze --char 2 --vars {','.join(TEN)} --poly {'+'.join(v + '^3' for v in TEN)}", 1,
+     _tjurina, 2 ** 10),
+    ("oracle --char 2 --gens x^2,y^4+y^2*z,y^3,z^2+x^3+y^5+y^3*z", 0, None, None),
+    # the E_8^1 J^[p]: runs at degrees 22 and 33, coefficients other than 1
+    ("oracle --char 5 --gens 3*x^10+y^20,4*x^5*y^15,2*z^5,z^2+x^3+x*y^4+y^5", 0,
+     _both_routes, (239, 239)),
+    # oracle columns keyed in one and in four variables
+    ("oracle --char 3 --vars x --gens x^5", 0, _both_routes, (5, 5)),
+    ("oracle --char 2 --vars a,b,c,d --gens a^2,b^2,c^2,d^2+a*b", 0, _both_routes, (16, 16)),
+    # a four-variable J^[p]
+    ("oracle --char 2 --vars a,b,c,d --gens a^4,b^4,c^4,d^4,a^3+b^3+c^3+d^3", 0, None, None),
+]
+
+
+@pytest.mark.parametrize("command, expected, figure, value", CROSS_PROCESS,
+                         ids=[entry[0].replace(" ", "_") for entry in CROSS_PROCESS])
+def test_json_output_is_byte_identical_across_processes(command, expected, figure, value):
+    # Two fresh interpreters with different string hashes: no order that
+    # hangs on a hash, or state that one process keeps, may reach the report.
+    argv = [sys.executable, "-m", "rdpdescent.cli", *command.split(), "--json"]
+    procs = [subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=subprocess_env(PYTHONHASHSEED=seed))
+             for seed in ("0", "1")]
+    (first, err), (second, _) = (proc.communicate(timeout=120) for proc in procs)
+    assert [proc.returncode for proc in procs] == [expected, expected], err
     assert first == second
-    assert json.loads(first)["timings_ms"] == {}
+    if figure is not None:
+        assert figure(json.loads(first)) == value
 
 
 def test_text_output_mentions_note_for_e6_0(capsys):
@@ -433,14 +502,11 @@ def test_closed_stdout_ends_with_a_note_and_no_traceback():
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("sizing a pipe needs Linux")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(rdpdescent.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     read_end, write_end = os.pipe()
     fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
     proc = subprocess.Popen(
         [sys.executable, "-m", "rdpdescent.cli", "classify", "--char", "2", "--max-n", "30"],
-        stdout=write_end, stderr=subprocess.PIPE, env=env)
+        stdout=write_end, stderr=subprocess.PIPE, env=subprocess_env())
     os.close(write_end)
     with os.fdopen(read_end, "rb") as out:
         assert out.readline().startswith(b"classification, characteristic 2")
@@ -450,3 +516,50 @@ def test_closed_stdout_ends_with_a_note_and_no_traceback():
     lines = err.decode().splitlines()
     assert len(lines) == 1, lines
     assert json.loads(lines[0])["error"] == "output closed"
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+
+# Runs in a child, since the tracer rewraps module attributes for good:
+# argv[1] is the perfbench directory, argv[2] the command lines as JSON.
+TRACED = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import spans, workloads
+from rdpdescent import cli
+tracer = spans.Tracer()
+spans.install(tracer)
+codes = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv + ["--json"]))
+print(json.dumps({
+    "codes": codes,
+    "row_functions": {name: hasattr(cli, name)
+                      for _, name in workloads.WORKLOADS.values() if name},
+    "layers": spans.layer_metrics(tracer),
+}))
+"""
+
+
+def test_traced_runs_find_every_name_the_benchmark_wraps():
+    # perfbench/spans.py wraps rdpdescent functions by module attribute
+    # (criteria.contains, cli.local_length, ideals.normal_form, ...), and
+    # perfbench/workloads.py names the cli function timed per row, so a
+    # rename in src/ breaks the benchmark's traced runs.  Nothing is written
+    # under perfbench/.
+    commands = {"analyze --char 2 --poly z^2+x^3+y^5+y^3*z": 1,
+                "tables --char 2": 0,
+                "classify --char 2 --max-n 4": 0,
+                "oracle --char 2 --gens x^2,y^4+y^2*z,y^3,z^2+x^3+y^5+y^3*z": 0}
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED, PERFBENCH, json.dumps([c.split() for c in commands])],
+        capture_output=True, text=True, timeout=120,
+        env=subprocess_env(PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["codes"] == list(commands.values())
+    assert report["row_functions"] == {"_recompute_row": True, "run_battery": True}
+    for name in ("parse.calls", "ideals.completions", "gbasis.normal_form_calls",
+                 "gbasis.count_calls", "oracle.calls"):
+        assert report["layers"][name] > 0, name
