@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import List, Optional, Tuple
 
+from .criteria import PASS, an_p_power
 from .errors import UsageError
 from .ideals import HypersurfaceGerm
 from .parse import parse_poly
@@ -148,7 +149,7 @@ def _an_record(n: int, char: int) -> SingularityRecord:
     if n < 1:
         raise UsageError(f"A_n needs n >= 1, got {n}")
     equation = f"z^{n + 1}-x*y"
-    descends = _is_prime_power_of(n + 1, char)
+    descends = an_p_power(n, char).status == PASS
     return SingularityRecord(
         dynkin="A", n=n, r=None, char=char, equation=equation,
         pi1=None, pic_order=pic_order_for("A", n),
@@ -157,14 +158,6 @@ def _an_record(n: int, char: int) -> SingularityRecord:
         citation=("descends: n+1 is a p-power (q-th power shape)" if descends
                   else "blocked: class group of order n+1 has prime-to-p torsion"),
     )
-
-
-def _is_prime_power_of(m: int, p: int) -> bool:
-    if m < p:
-        return False
-    while m % p == 0:
-        m //= p
-    return m == 1
 
 
 def _dn_record(n: int, r: Optional[int], char: int) -> SingularityRecord:

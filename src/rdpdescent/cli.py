@@ -10,12 +10,14 @@ Subcommands:
 * oracle    -- Groebner-engine length next to the truncation-oracle length
                for a generator list, for independent verification.
 
-Exit codes: 0 descends/undetermined with all necessary passes, 1 blocked,
-2 usage error, 3 engine limit, 141 standard output closed before the
-report was written (a reader such as `head` stopped early; 141 is what a
-shell reports for a writer stopped by SIGPIPE).  With --json the output is deterministic
-(stable key order, no wall-clock content), so identical inputs produce
-byte-identical reports; timings are printed only in text mode.
+Exit codes: 0 descends/undetermined with all necessary passes, 1 blocked
+(or a table/classification mismatch, or engine and oracle lengths that
+disagree), 2 usage error, 3 engine limit, 141 standard output closed
+before the report was written (a reader such as `head` stopped early; 141
+is what a shell reports for a writer stopped by SIGPIPE).  With --json
+the output is deterministic (stable key order, no wall-clock content), so
+identical inputs produce byte-identical reports; timings are printed only
+in text mode.
 """
 
 from __future__ import annotations

@@ -107,10 +107,11 @@ The working polynomial h of `_reduce` is a dict from packed key
 starts from f, or from the two multiples of an S-pair (`_pair`), added
 as each step adds the |g| terms of its reducer multiple: the rest of h is
 left alone, O(|g| log |h|) work, where a merge of two sorted term tuples
-would cost O(|h| + |g|).  The start is not charged, and a step's charge
-stays 1 + (|h| + |g|) // 8, read off the dict's size: the budget measures
-the size of the reduction, not how h happens to be held, so a cap is
-reached at the same step whatever the representation.
+would cost O(|h| + |g|); a reducer of positive ecart adds an O(|h|) scan
+for h's ecart.  The start is not charged, and a step's charge stays
+1 + (|h| + |g|) // 8, read off the dict's size: the budget measures the
+size of the reduction, not how h happens to be held, so a cap is reached
+at the same step whatever the representation.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineLimitError, UsageError
-from .poly import (MAX_EXPONENT, Mono, OrderingTag, Polynomial, Ring, _from_keyed,
+from .poly import (Mono, OrderingTag, Polynomial, Ring, _check_product, _from_keyed,
                    inv_mod, mono_deg, mono_divides, mono_lcm, mono_mul, mono_quot)
 
 DEFAULT_STEP_CAP = 10 ** 6
@@ -194,24 +195,15 @@ class StandardBasis:
         return f"StandardBasis({[str(g) for g in self.gens]}, {self.ring!r})"
 
 
-def _truncate(f: Polynomial, bound: Optional[int]) -> Polynomial:
-    """f without its terms of degree >= bound; f itself when bound is None.
-
-    Only for the local ordering, whose terms run by increasing degree, so
-    that the dropped terms form a suffix of the term tuple.
+def _kept_below(terms: Sequence[Tuple[Mono, int]], bound: int) -> int:
+    """The number of leading terms of degree below bound: the cut rule of
+    the corner.  The local ordering runs terms by increasing degree, so
+    the terms of degree >= bound are a suffix, and those before it are kept.
     """
-    if bound is None:
-        return f
-    terms = f.terms
     k = len(terms)
     while k and mono_deg(terms[k - 1][0]) >= bound:
         k -= 1
-    return f if k == len(terms) else Polynomial(f.ring, terms[:k], f.keys[:k])
-
-
-def _below(corner: Optional[int], m: Mono) -> Optional[int]:
-    """The truncation bound for a factor that gets multiplied by m."""
-    return None if corner is None else corner - mono_deg(m)
+    return k
 
 
 def _pair(f: Polynomial, g: Polynomial) -> tuple:
@@ -245,10 +237,11 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], gens: Sequence[Polynom
     stops at an irreducible leading term: a weak normal form.  Under the
     global ordering every ecart is 0, so the rule picks the first divisor
     and nothing joins; an irreducible leading term moves to the remainder,
-    which makes the result fully reduced.  With a corner D, every multiple
-    is kept free of terms of degree >= D.  Against no gens the loop
-    returns the seeded sum.  A caller that reduces against the same gens
-    many times passes their ecarts.
+    which makes the result fully reduced.  With a corner D, a multiple
+    c*m*g takes only the terms of g of degree below D - deg m, by the cut
+    rule of `_cut_at`, and only those are checked for exponent overflow.
+    Against no gens the loop returns the seeded sum.  A caller that
+    reduces against the same gens many times passes their ecarts.
 
     h is held as a dict from packed key to term, with a max-heap of its
     keys (negated, on heapq) from which cancelled keys are dropped when
@@ -256,13 +249,14 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], gens: Sequence[Polynom
     needed only when the chosen reducer has a positive one, comes from the
     smallest key, which under the local ordering is the term of highest
     degree.  The seed and each step's reducer multiple are added by the
-    same code, which leaves out only the reducer's leading term, the one
-    the step cancels.  Keys are additive, so a multiple's keys are g's
-    shifted by key(m), and a monomial is built only for a key that h does
-    not hold yet: a step costs O(|g| log |h|), not the O(|h| + |g|) of a
-    merge.  A joining h is stored as a sorted Polynomial snapshot.  The
-    dict knows |h|, so `_Budget.step` charges exactly what a merge of h
-    and g is charged (module docstring).
+    same code, which reads the kept terms of g in place and leaves out the
+    reducer's leading term, the one the step cancels.  Keys are additive,
+    so a multiple's keys are g's shifted by key(m), and a monomial is built
+    only for a key that h does not hold yet: a step costs O(|g| log |h|),
+    not the O(|h| + |g|) of a merge, plus an O(|h|) scan for h's ecart when
+    the reducer's ecart is positive.  A joining h is stored as a sorted
+    Polynomial snapshot.  The dict knows |h|, so `_Budget.step` charges
+    exactly what a merge of h and g is charged (module docstring).
     """
     ring = seed[0][0].ring
     p = ring.p
@@ -272,17 +266,15 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], gens: Sequence[Polynom
     reducers: List[Tuple[Polynomial, int]] = list(zip(gens, ecarts))
     h: dict = {}
     heap: List[int] = []
-    remainder: List[Tuple[Mono, int]] = []
-    remainder_keys: List[int] = []
+    remainder: dict = {}
 
     def add(g: Polynomial, c: int, m: Mono, start: int):
         # h += c*m*g over the terms of g from index start on, cut below the corner.
-        g = _truncate(g, _below(corner, m))
-        if mono_deg(m) + g.degree() >= MAX_EXPONENT:
-            g.term_mul(1, m)  # raises term_mul's error if an exponent overflows
-        shift = ring.key(m)  # the key is additive
         terms, keys = g.terms, g.keys
-        for i in range(start, len(keys)):
+        stop = len(keys) if corner is None else _kept_below(terms, corner - mono_deg(m))
+        _check_product(terms, stop, m)
+        shift = ring.key(m)  # the key is additive
+        for i in range(start, stop):
             k = keys[i] + shift
             mg, cg = terms[i]
             old = h.get(k)
@@ -313,9 +305,7 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], gens: Sequence[Polynom
         if best is None:
             if not is_global:
                 break
-            remainder.append(term)
-            remainder_keys.append(lead)
-            del h[lead]
+            remainder[lead] = h.pop(lead)
             continue
         g, ec = best
         if ec:
@@ -326,9 +316,7 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], gens: Sequence[Polynom
         del h[lead]  # the multiple's leading term cancels it
         c = p - term[1] * inv_mod(g.lc(), p) % p  # minus the multiple's coefficient
         add(g, c, mono_quot(lm, g.lm()), 1)
-    if is_global:
-        return Polynomial(ring, tuple(remainder), remainder_keys)
-    return _from_keyed(ring, h)
+    return _from_keyed(ring, remainder if is_global else h)
 
 
 def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynomial:
@@ -405,7 +393,8 @@ def _cut_at(g: Polynomial, corner: int) -> Polynomial:
     leading monomial alone when that has degree >= corner."""
     if mono_deg(g.lm()) >= corner:
         return g.ring.poly({g.lm(): 1})
-    return _truncate(g, corner)
+    k = _kept_below(g.terms, corner)
+    return Polynomial(g.ring, g.terms[:k], g.keys[:k])
 
 
 def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -> StandardBasis:

@@ -39,15 +39,16 @@ A Polynomial carries the keys of its terms in `keys`, computed once when
 it is built from monomials.  Addition and subtraction sum the terms in a
 dict keyed by these ints, as the reduction loop of `gbasis` sums its
 working polynomial, and `_from_keyed` sorts such a dict back into a
-Polynomial; `term_mul` shifts the keys by one addition per term, and
-`tail` and truncation slice them.  The keys are a list that nothing
-mutates, not a tuple: CPython keeps a dead tuple shorter than 20 on a
-free list for its length, up to 2000 of them, and as tuples the keys
-raised the peak resident memory of a round of the `coords` benchmark
-workload by 0.7 MB (CPython 3.11 on Linux).  The keys are never part of
-equality or hashing, and monomials stay exponent tuples at the API:
-divisibility, lcm, the parser and the truncation oracle's rows all need
-the exponents, which a key does not expose.
+Polynomial; `term_mul` shifts the keys by one addition per term, `tail`
+and `gbasis._cut_at` slice them, and the reduction loop shifts the kept
+prefix of a reducer's keys where they lie, without a copy.  The keys are
+a list that nothing mutates, not a tuple: CPython keeps a dead tuple
+shorter than 20 on a free list for its length, up to 2000 of them, and
+as tuples the keys raised the peak resident memory of a round of the
+`coords` benchmark workload by 0.7 MB (CPython 3.11 on Linux).  The keys
+are never part of equality or hashing, and monomials stay exponent
+tuples at the API: divisibility, lcm, the parser and the truncation
+oracle's rows all need the exponents, which a key does not expose.
 """
 
 from __future__ import annotations
@@ -205,6 +206,18 @@ def _check_mono(ring: Ring, m: Mono) -> Mono:
     return m
 
 
+def _check_product(terms: Sequence[Tuple[Mono, int]], stop: int, m: Mono) -> None:
+    """Raise the exponent overflow of the first of terms[:stop] whose product
+    with m has an exponent >= MAX_EXPONENT.  Terms run by degree, so the
+    ends of the prefix bound its degrees, and usually settle the check."""
+    if not stop or sum(m) + max(sum(terms[0][0]), sum(terms[stop - 1][0])) < MAX_EXPONENT:
+        return  # sum is mono_deg, called here on every reduction step
+    for mm, _ in terms[:stop]:
+        e = max(map(add, mm, m))
+        if e >= MAX_EXPONENT:
+            raise UsageError(f"exponent overflow: {e} >= {MAX_EXPONENT}")
+
+
 def _from_dict(ring: Ring, d: Dict[Mono, int]) -> "Polynomial":
     p = ring.p
     items = []
@@ -331,15 +344,11 @@ class Polynomial:
         c %= self.ring.p
         if c == 0 or not self.terms:
             return self.ring.zero()
+        _check_product(self.terms, len(self.terms), m)
         p = self.ring.p
-        out = []
-        for mm, cc in self.terms:
-            prod = mono_mul(mm, m)
-            if max(prod) >= MAX_EXPONENT:
-                raise UsageError(f"exponent overflow: {max(prod)} >= {MAX_EXPONENT}")
-            out.append((prod, (cc * c) % p))
         shift = self.ring.key(m)  # the key is additive
-        return Polynomial(self.ring, tuple(out), [k + shift for k in self.keys])
+        return Polynomial(self.ring, tuple((mono_mul(mm, m), cc * c % p) for mm, cc in self.terms),
+                          [k + shift for k in self.keys])
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):

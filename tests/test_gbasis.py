@@ -13,7 +13,7 @@ from rdpdescent import (EngineLimitError, INFINITE, OrderingTag, Ring,
 from rdpdescent import gbasis
 from rdpdescent.catalog import instantiate
 from rdpdescent.errors import UsageError
-from rdpdescent.gbasis import _below, _Budget, _reduce, _truncate
+from rdpdescent.gbasis import _Budget, _reduce
 from rdpdescent.ideals import (UNSTABLE, HypersurfaceGerm, IdealPresentation, bracket_ideal,
                                jacobian_ideal, truncation_contains, truncation_length_oracle)
 from rdpdescent.poly import inv_mod, mono_deg, mono_divides, mono_lcm, mono_mul, mono_quot
@@ -443,6 +443,15 @@ def reduce_poly(f, gens, budget, corner=None):
     return _reduce(((f, 1, (0,) * f.ring.nvars),), gens, budget, corner)
 
 
+def cut_multiple(g, c, m, corner):
+    """c*m*g without its terms of degree >= corner, cut before term_mul
+    builds the product: a filter over every term of g, where the engine
+    keeps a prefix."""
+    if corner is not None:
+        g = g.ring.poly({mg: cg for mg, cg in g.terms if mono_deg(mg) + mono_deg(m) < corner})
+    return g.term_mul(c, m)
+
+
 def merge_reduce(f, gens, budget, corner=None):
     """The reduction loop with h held as a Polynomial: each step subtracts
     the reducer multiple that term_mul builds, a merge of |h| + |g| terms.
@@ -451,7 +460,7 @@ def merge_reduce(f, gens, budget, corner=None):
     ring = f.ring
     is_global = ring.ordering == GLOBAL
     reducers = [(g, g.ecart()) for g in gens]
-    h = _truncate(f, corner)
+    h = cut_multiple(f, 1, (0,) * ring.nvars, corner)
     remainder = {}
     joins = 0
     while not h.is_zero:
@@ -475,7 +484,7 @@ def merge_reduce(f, gens, budget, corner=None):
         budget.step(len(h.terms), len(g.terms))
         c = h.lc() * inv_mod(g.lc(), ring.p) % ring.p
         mult = mono_quot(lm, g.lm())
-        h = h - _truncate(g, _below(corner, mult)).term_mul(c, mult)
+        h = h - cut_multiple(g, c, mult, corner)
     return (ring.poly(remainder) if is_global else h), joins
 
 
@@ -563,9 +572,8 @@ def reference_spoly(f, g, corner=None):
     p = f.ring.p
     lcm = mono_lcm(f.lm(), g.lm())
     qf, qg = mono_quot(lcm, f.lm()), mono_quot(lcm, g.lm())
-    a = _truncate(f, _below(corner, qf)).term_mul(inv_mod(f.lc(), p), qf)
-    b = _truncate(g, _below(corner, qg)).term_mul(inv_mod(g.lc(), p), qg)
-    return a - b
+    return (cut_multiple(f, inv_mod(f.lc(), p), qf, corner)
+            - cut_multiple(g, inv_mod(g.lc(), p), qg, corner))
 
 
 @settings(max_examples=250, deadline=None)
@@ -586,6 +594,16 @@ def test_exponent_overflow_inside_an_s_pair():
     for run in (lambda: spoly(f, g), lambda: complete_basis([f, g])):
         with pytest.raises(UsageError, match=r"^exponent overflow: 65536 >= 65536$"):
             run()
+
+
+def test_a_term_cut_at_the_corner_cannot_overflow():
+    # The multiple y * (x + y^65535) of the S-pair holds y^65536, of degree
+    # above the corner 10: the cut drops it before the exponent check.
+    ring = lring(2, ("x", "y"))
+    f, g = parse_poly("x*y", ring), parse_poly("x+y^65535", ring)
+    assert spoly(f, g, 10).is_zero and reference_spoly(f, g, 10).is_zero
+    with pytest.raises(UsageError, match=r"^exponent overflow: 65536 >= 65536$"):
+        spoly(f, g)
 
 
 # -- differential test against sympy --------------------------------------------

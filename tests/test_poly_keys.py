@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from rdpdescent import OrderingTag, Ring
 from rdpdescent.errors import EngineLimitError
-from rdpdescent.gbasis import _Budget, _truncate, complete_basis, spoly
+from rdpdescent.gbasis import _Budget, _cut_at, complete_basis, spoly
 from rdpdescent.parse import parse_poly
 from rdpdescent.poly import MAX_EXPONENT, Polynomial, mono_mul
 from test_gbasis import reduce_poly
@@ -128,7 +128,7 @@ def test_carried_keys_stay_fresh(case, bound):
         return
     assert_keys_fresh(f.tail(), "tail")
     assert_keys_fresh(f.term_mul(2, g.lm()), "term_mul")
-    assert_keys_fresh(_truncate(f, bound), "_truncate")
+    assert_keys_fresh(_cut_at(f, bound), "_cut_at")
     corner = None if ring.ordering is GLOBAL else bound
     for c in (None, corner):
         assert_keys_fresh(spoly(f, g, c), "spoly")

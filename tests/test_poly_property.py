@@ -9,8 +9,8 @@ from rdpdescent.poly import mono_deg
 
 
 @st.composite
-def polynomials(draw):
-    ordering = draw(st.sampled_from(list(OrderingTag)))
+def polynomials(draw, orderings=tuple(OrderingTag)):
+    ordering = draw(st.sampled_from(orderings))
     p = draw(st.sampled_from((2, 3, 5, 97)))
     n = draw(st.integers(1, 4))
     ring = Ring(p, ("x", "y", "z", "w")[:n], ordering)
@@ -33,11 +33,11 @@ def test_degree_and_order_match_a_scan(f):
 
 
 @settings(max_examples=300, deadline=None)
-@given(polynomials())
+@given(polynomials((OrderingTag.GLOBAL_DEGREVLEX,)))
 def test_global_ordering_has_ecart_zero(f):
     # The leading term under degrevlex has the highest degree, which lets
     # the reduction loop treat both orderings through their ecarts.
-    assume(f.ring.ordering == OrderingTag.GLOBAL_DEGREVLEX and not f.is_zero)
+    assume(not f.is_zero)
     assert f.ecart() == 0
 
 
