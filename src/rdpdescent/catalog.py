@@ -44,11 +44,14 @@ _CATALOG_CHARS = (2, 3, 5)
 
 
 def pic_order_for(dynkin: str, n: int) -> int:
-    if dynkin == "A":
+    """The local Picard group order of A_n (n >= 1), D_n (n >= 4), E_6, E_7 and E_8."""
+    if dynkin == "A" and n >= 1:
         return n + 1
-    if dynkin == "D":
+    if dynkin == "D" and n >= 4:
         return PIC_ORDER["D"]
-    return PIC_ORDER[f"E{n}"]
+    if dynkin == "E" and f"E{n}" in PIC_ORDER:
+        return PIC_ORDER[f"E{n}"]
+    raise UsageError(f"no rational double point of type {dynkin!r} with n = {n}")
 
 
 @dataclass(frozen=True)
@@ -146,8 +149,6 @@ def table_records() -> Tuple[SingularityRecord, ...]:
 
 
 def _an_record(n: int, char: int) -> SingularityRecord:
-    if n < 1:
-        raise UsageError(f"A_n needs n >= 1, got {n}")
     equation = f"z^{n + 1}-x*y"
     descends = an_p_power(n, char).status == PASS
     return SingularityRecord(

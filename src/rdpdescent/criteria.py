@@ -36,7 +36,7 @@ from .gbasis import INFINITE
 from .ideals import (HypersurfaceGerm, IdealPresentation, bracket_ideal,
                      contains, is_parameter_ideal, jacobian_ideal,
                      length_tag, local_length)
-from .poly import mono_deg
+from .poly import _check_char, mono_deg
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -161,22 +161,20 @@ def invertible_summand(germ: HypersurfaceGerm, step_cap: Optional[int] = None) -
     return CriterionReport(INVERTIBLE_SUMMAND, FAIL, {"failures": failures})
 
 
-def _split_p_part(m: int, p: int) -> Tuple[int, int]:
-    """(e, r) with m = p^e * r and r prime to p, for m >= 1."""
-    e = 0
+def _is_p_power(m: int, p: int) -> bool:
+    """Whether m >= 1 is p^e for some e >= 0; UsageError for a p that `Ring` rejects."""
+    _check_char(p)
     while m % p == 0:
         m //= p
-        e += 1
-    return e, m
+    return m == 1
 
 
 def an_p_power(n: int, char: int) -> CriterionReport:
     """A_n descends exactly when n + 1 = p^e with e >= 1."""
     if n < 1:
         raise UsageError(f"A_n needs n >= 1, got {n}")
-    e, rest = _split_p_part(n + 1, char)
-    if rest == 1 and e >= 1:
-        return CriterionReport(AN_P_POWER, PASS, {"n": n, "q": char ** e})
+    if _is_p_power(n + 1, char):
+        return CriterionReport(AN_P_POWER, PASS, {"n": n, "q": n + 1})
     return CriterionReport(AN_P_POWER, FAIL, {"n": n, "detail": f"{n + 1} is not a power of {char}"})
 
 
@@ -185,7 +183,7 @@ def pic_torsion_p_group(pic_order: int, char: int) -> CriterionReport:
     (order 1) passes."""
     if pic_order < 1:
         raise UsageError(f"group order must be positive, got {pic_order}")
-    if _split_p_part(pic_order, char)[1] == 1:
+    if _is_p_power(pic_order, char):
         return CriterionReport(PIC_TORSION_P_GROUP, PASS, {"order": pic_order})
     return CriterionReport(PIC_TORSION_P_GROUP, FAIL,
                            {"order": pic_order, "detail": f"order {pic_order} has prime-to-{char} torsion"})
@@ -210,7 +208,7 @@ def shape_witness(germ: HypersurfaceGerm) -> CriterionReport:
     for v0 in range(ring.nvars):
         involved = [m for m in monos if m[v0]]  # v0^q alone, if f has the shape
         q = involved[0][v0] if len(involved) == 1 else 0
-        if (q > 1 and mono_deg(involved[0]) == q and _split_p_part(q, ring.p)[1] == 1
+        if (q > 1 and mono_deg(involved[0]) == q and _is_p_power(q, ring.p)
                 and all(mono_deg(m) >= 2 for m in monos if not m[v0])):
             return CriterionReport(SHAPE_WITNESS, PASS, {"variable": ring.names[v0], "q": q})
     return CriterionReport(SHAPE_WITNESS, FAIL,

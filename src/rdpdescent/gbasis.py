@@ -224,11 +224,15 @@ def spoly(f: Polynomial, g: Polynomial, corner: Optional[int] = None) -> Polynom
     return _reduce(_pair(f, g), (), _Budget(None), corner)
 
 
-def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], gens: Sequence[Polynomial],
-            budget: _Budget, corner: Optional[int] = None,
-            ecarts: Optional[Sequence[int]] = None) -> Polynomial:
-    """Normal form of the sum of the multiples c*m*g in seed against gens:
-    the one reduction loop of the engine.
+def _reducer(g: Polynomial) -> tuple:
+    """The reducer record (lm, ecart, g) of a nonzero g, which `_reduce` reads."""
+    return g.lm(), g.ecart(), g
+
+
+def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], reducers: Sequence[tuple],
+            budget: _Budget, corner: Optional[int] = None) -> Polynomial:
+    """Normal form of the sum of the multiples c*m*g in seed against the
+    reducer records (lm, ecart, g): the one reduction loop of the engine.
 
     Each step cancels the leading term of the working polynomial h against
     the reducer of least ecart whose leading monomial divides it, ties
@@ -240,8 +244,8 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], gens: Sequence[Polynom
     which makes the result fully reduced.  With a corner D, a multiple
     c*m*g takes only the terms of g of degree below D - deg m, by the cut
     rule of `_cut_at`, and only those are checked for exponent overflow.
-    Against no gens the loop returns the seeded sum.  A caller that
-    reduces against the same gens many times passes their ecarts.
+    Against no reducers the loop returns the seeded sum.  A caller that
+    reduces against the same elements many times builds their records once.
 
     h is held as a dict from packed key to term, with a max-heap of its
     keys (negated, on heapq) from which cancelled keys are dropped when
@@ -254,16 +258,14 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], gens: Sequence[Polynom
     so a multiple's keys are g's shifted by key(m), and a monomial is built
     only for a key that h does not hold yet: a step costs O(|g| log |h|),
     not the O(|h| + |g|) of a merge, plus an O(|h|) scan for h's ecart when
-    the reducer's ecart is positive.  A joining h is stored as a sorted
+    the reducer's ecart is positive.  A joining h is recorded with a sorted
     Polynomial snapshot.  The dict knows |h|, so `_Budget.step` charges
     exactly what a merge of h and g is charged (module docstring).
     """
     ring = seed[0][0].ring
     p = ring.p
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
-    if ecarts is None:
-        ecarts = [g.ecart() for g in gens]
-    reducers: List[Tuple[Polynomial, int]] = list(zip(gens, ecarts))
+    reducers = list(reducers)  # the joins stay local to this call
     h: dict = {}
     heap: List[int] = []
     remainder: dict = {}
@@ -298,7 +300,7 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], gens: Sequence[Polynom
         lm = term[0]
         best = None
         for r in reducers:
-            if (best is None or r[1] < best[1]) and mono_divides(r[0].lm(), lm):
+            if (best is None or r[1] < best[1]) and mono_divides(r[0], lm):
                 best = r
                 if r[1] == 0:
                     break  # nothing later can win
@@ -307,15 +309,15 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], gens: Sequence[Polynom
                 break
             remainder[lead] = h.pop(lead)
             continue
-        g, ec = best
+        lmg, ec, g = best
         if ec:
             eh = mono_deg(h[min(h)][0]) - mono_deg(lm)
             if ec > eh:
-                reducers.append((_from_keyed(ring, h), eh))
+                reducers.append((lm, eh, _from_keyed(ring, h)))
         budget.step(len(h), len(g.terms))
         del h[lead]  # the multiple's leading term cancels it
         c = p - term[1] * inv_mod(g.lc(), p) % p  # minus the multiple's coefficient
-        add(g, c, mono_quot(lm, g.lm()), 1)
+        add(g, c, mono_quot(lm, lmg), 1)
     return _from_keyed(ring, remainder if is_global else h)
 
 
@@ -324,13 +326,13 @@ def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynom
 
     Global ordering: the fully reduced remainder.  Local ordering: the Mora
     weak normal form, without terms of degree >= basis.corner; zero exactly
-    when f lies in the ideal inside the localization at the origin.
+    when f lies in the ideal inside the localization at the origin.  A
+    plain tuple of generators has no corner: the loop runs untruncated.
     """
-    gens = tuple(basis)
-    for g in gens:
+    for g in basis:
         f._check_ring(g)
-    return _reduce(((f, 1, (0,) * f.ring.nvars),), gens, _Budget(step_cap),
-                   getattr(basis, "corner", None))
+    return _reduce(((f, 1, (0,) * f.ring.nvars),), [_reducer(g) for g in basis],
+                   _Budget(step_cap), getattr(basis, "corner", None))
 
 
 def _prepare(gens: Sequence[Polynomial]) -> List[Polynomial]:
@@ -403,12 +405,12 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
 
     Every element enters the basis through one step, `add`: the prepared
     generators in order, then each nonzero S-pair remainder.  The step
-    cuts the element at the current corner and appends it; under the
-    local ordering it sweeps the staircase of the leading monomials and,
-    when the corner falls, cuts the whole basis at it; then it queues the
-    element's pairs with the earlier ones under rules F and M (module
-    docstring).  Rule M is `_minimal` over the new lcms by increasing
-    degree, once those at or above the corner have been dropped.
+    cuts the element at the current corner and appends its record; under
+    the local ordering it sweeps the staircase of the leading monomials
+    and, when the corner falls, cuts and records the whole basis afresh;
+    then it queues the element's pairs with the earlier ones under rules F
+    and M (module docstring).  Rule M is `_minimal` over the new lcms by
+    increasing degree, once those at or above the corner have been dropped.
 
     Pair selection is the normal strategy: minimal lcm degree first, ties
     broken by the lcm monomial and the pair indices for reproducibility.
@@ -434,10 +436,8 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     budget = _Budget(step_cap)
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
 
-    basis: List[Polynomial] = []
-    lms: List[Mono] = []  # the leading monomials, which `_cut_at` keeps
-    ecarts: List[int] = []
-    corner = stair = None  # stair: the last sweep of lms, which the returned basis takes over
+    basis: List[tuple] = []  # reducer records (lm, ecart, g); `_cut_at` keeps each lm
+    corner = stair = None  # stair: the last sweep of the lms, which the returned basis takes over
     # (deg lcm, key of lcm, j, i, lcm) for the pair (i, j), i < j
     queue: List[Tuple[int, int, int, int, Mono]] = []
 
@@ -445,22 +445,19 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
         nonlocal corner, stair
         if corner is not None:
             g = _cut_at(g, corner)
-        basis.append(g)
-        lms.append(g.lm())
-        ecarts.append(g.ecart())
+        basis.append(_reducer(g))
         if not is_global:
-            stair = _staircase(lms)
+            stair = _staircase([r[0] for r in basis])
             if stair[1] is not None and (corner is None or stair[1] < corner):
                 corner = stair[1]
-                basis[:] = [_cut_at(b, corner) for b in basis]
-                ecarts[:] = [b.ecart() for b in basis]
-        k, lmk = len(lms) - 1, lms[-1]
-        lcms = [mono_lcm(m, lmk) for m in lms[:k]]
+                basis[:] = [_reducer(_cut_at(r[2], corner)) for r in basis]
+        k, lmk = len(basis) - 1, basis[-1][0]
+        lcms = [mono_lcm(r[0], lmk) for r in basis[:k]]
         # F: one new pair per lcm, a coprime one if there is one (the
         # product criterion then skips it), else the first.
         kept = {}
         for i, lcm in enumerate(lcms):
-            if lcm not in kept or (is_global and lcm == mono_mul(lms[i], lmk)):
+            if lcm not in kept or (is_global and lcm == mono_mul(basis[i][0], lmk)):
                 kept[lcm] = i
         # M: no new pair whose lcm is a proper multiple of another's.  By
         # increasing degree, it suffices to test the lcms kept so far.
@@ -480,17 +477,18 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
             break  # queued before the corner fell, and so is everything left
         # B: (i, j) is a chain through a later k when LM(k) | lcm(i, j) and
         # both lcm(i, k) and lcm(j, k) are proper divisors of lcm(i, j).
-        if any(mono_divides(m, lcm) and mono_lcm(lms[i], m) != lcm != mono_lcm(lms[j], m)
-               for m in lms[j + 1:]):
+        (lmi, _, gi), (lmj, _, gj) = basis[i], basis[j]
+        if any(mono_divides(m, lcm) and mono_lcm(lmi, m) != lcm != mono_lcm(lmj, m)
+               for m, _, _ in basis[j + 1:]):
             continue  # costs nothing
         budget.spend()
-        if is_global and lcm == mono_mul(lms[i], lms[j]):
+        if is_global and lcm == mono_mul(lmi, lmj):
             continue  # coprime leading monomials: S-pair reduces to zero
-        h = _reduce(_pair(basis[i], basis[j]), basis, budget, corner, ecarts=ecarts)
+        h = _reduce(_pair(gi, gj), basis, budget, corner)
         if not h.is_zero:
             add(h.monic())  # truncated, so its leading monomial has degree < corner
 
-    return _minimalize(basis, ring, budget, is_global, stair)
+    return _minimalize(basis, ring, budget, stair)
 
 
 def _minimal(items: Sequence, lm=lambda m: m) -> list:
@@ -503,22 +501,21 @@ def _minimal(items: Sequence, lm=lambda m: m) -> list:
     return kept
 
 
-def _minimalize(basis: List[Polynomial], ring: Ring, budget: _Budget,
-                is_global: bool, stair) -> StandardBasis:
-    # Drop elements whose leading monomial is divisible by another's; the
-    # remaining leading terms still generate the leading ideal.
-    kept = _minimal(sorted(basis, key=lambda g: (mono_deg(g.lm()), g.keys[0])), Polynomial.lm)
-    if is_global:
+def _minimalize(basis: List[tuple], ring: Ring, budget: _Budget, stair) -> StandardBasis:
+    # Drop the records whose leading monomial is divisible by another's;
+    # the remaining leading terms still generate the leading ideal.
+    kept = _minimal(sorted(basis, key=lambda r: (mono_deg(r[0]), r[2].keys[0])), lambda r: r[0])
+    if ring.ordering == OrderingTag.GLOBAL_DEGREVLEX:
         # Tail-reduce to the unique reduced Groebner basis.  The basis is
         # minimal, so no leading monomial changes, and a remainder free of
         # them stays free when the others are reduced: one pass suffices.
         one = (0,) * ring.nvars
         for i in range(len(kept)):
-            kept[i] = _reduce(((kept[i], 1, one),), kept[:i] + kept[i + 1:], budget).monic()
-    kept.sort(key=lambda g: g.keys[0], reverse=True)
+            kept[i] = _reducer(_reduce(((kept[i][2], 1, one),), kept[:i] + kept[i + 1:], budget).monic())
+    kept.sort(key=lambda r: r[2].keys[0], reverse=True)
     # The leading ideal is that of the completion, so its last sweep is the
     # basis's staircase; under the global ordering stair is None and it sweeps.
-    return StandardBasis(tuple(kept), ring, _stair=stair)
+    return StandardBasis(tuple(r[2] for r in kept), ring, _stair=stair)
 
 
 def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None) -> bool:
@@ -533,13 +530,11 @@ def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None)
     gets a fresh budget of step_cap: the cap bounds each pair's reduction,
     where `complete_basis`'s cap bounds the whole completion.
     """
-    gens = basis.gens
     corner = (None if basis.ordering == OrderingTag.GLOBAL_DEGREVLEX
               else _staircase(basis.leading_monomials())[1])
-    ecarts = [g.ecart() for g in gens]
-    for i, j in itertools.combinations(range(len(gens)), 2):
-        if not _reduce(_pair(gens[i], gens[j]), gens, _Budget(step_cap), corner,
-                       ecarts=ecarts).is_zero:
+    reducers = [_reducer(g) for g in basis.gens]
+    for f, g in itertools.combinations(basis.gens, 2):
+        if not _reduce(_pair(f, g), reducers, _Budget(step_cap), corner).is_zero:
             return False
     return True
 

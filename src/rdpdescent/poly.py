@@ -67,6 +67,12 @@ MAX_EXPONENT = 1 << 16
 _PRIMES = frozenset(q for q in range(2, 98) if all(q % d for d in range(2, q)))
 
 
+def _check_char(p) -> None:
+    """The rule for a characteristic (module docstring)."""
+    if not isinstance(p, int) or p not in _PRIMES:
+        raise UsageError(f"characteristic must be a prime with 2 <= p <= 97, got {p!r}")
+
+
 def inv_mod(value: int, p: int) -> int:
     """Inverse of a nonzero residue modulo a prime, on raw ints."""
     value %= p
@@ -136,8 +142,7 @@ class Ring:
 
     def __init__(self, p: int, names: Sequence[str],
                  ordering: OrderingTag = OrderingTag.GLOBAL_DEGREVLEX):
-        if not isinstance(p, int) or p not in _PRIMES:
-            raise UsageError(f"characteristic must be a prime with 2 <= p <= 97, got {p!r}")
+        _check_char(p)
         names = tuple(names)
         if not names:
             raise UsageError("a ring needs at least one variable")

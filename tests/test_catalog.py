@@ -41,6 +41,20 @@ def test_pic_orders_match_classification():
         assert rec.pic_order == pic_order_for(rec.dynkin, rec.n)
 
 
+@pytest.mark.parametrize("dynkin, n", [("X", 6), ("e", 6), ("E", 9), ("E", 5), ("D", 3), ("A", 0)])
+def test_pic_order_rejects_what_is_no_rational_double_point(dynkin, n):
+    with pytest.raises(UsageError, match="^no rational double point of type"):
+        pic_order_for(dynkin, n)
+
+
+@pytest.mark.parametrize("change", [{"dynkin": "X"}, {"n": 9}])
+def test_validation_rejects_an_unknown_type(change):
+    # A data line of no Dynkin type is a usage error, not a bare KeyError
+    # or another type's Picard order.
+    with pytest.raises(UsageError, match="^no rational double point of type"):
+        _validate(dataclasses.replace(table_records()[0], **change))
+
+
 def test_instantiate_examples():
     assert instantiate("D", 6, 0, 2).equation == "z^2+x^2*y+x*y^3"
     assert instantiate("E", 8, 1, 2).equation == "z^2+x^3+y^5+x*y^3*z"
@@ -68,7 +82,7 @@ def test_instantiate_range_errors():
         instantiate("E", 8, 4, 3)       # E_8^4 exists only in characteristic 2
     with pytest.raises(UsageError):
         instantiate("E", 6, 0, 5)       # characteristic 5 has plain E_6 only
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match=r"^A_n needs n >= 1, got 0$"):
         instantiate("A", 0, None, 2)
     with pytest.raises(UsageError):
         instantiate("F", 4, None, 2)

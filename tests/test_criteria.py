@@ -220,6 +220,16 @@ def test_pic_torsion():
     assert pic_torsion_p_group(6, 2).status == FAIL
 
 
+@pytest.mark.parametrize("char", [0, 1, 4])
+def test_group_criteria_reject_a_characteristic_no_ring_accepts(char):
+    # p = 1 used to divide by 1 forever, p = 0 to divide by zero, and
+    # p = 4 to make a catalog record of characteristic 4.
+    for run in (lambda: an_p_power(3, char), lambda: pic_torsion_p_group(4, char),
+                lambda: instantiate("A", 3, None, char)):
+        with pytest.raises(UsageError, match="^characteristic must be a prime"):
+            run()
+
+
 def test_pi1_trivial():
     assert pi1_trivial("C3").status == FAIL
     assert pi1_trivial("0").status == PASS

@@ -13,7 +13,7 @@ from rdpdescent import (EngineLimitError, INFINITE, OrderingTag, Ring,
 from rdpdescent import gbasis
 from rdpdescent.catalog import instantiate
 from rdpdescent.errors import UsageError
-from rdpdescent.gbasis import _Budget, _reduce
+from rdpdescent.gbasis import _Budget, _reduce, _reducer
 from rdpdescent.ideals import (UNSTABLE, HypersurfaceGerm, IdealPresentation, bracket_ideal,
                                jacobian_ideal, truncation_contains, truncation_length_oracle)
 from rdpdescent.poly import inv_mod, mono_deg, mono_divides, mono_lcm, mono_mul, mono_quot
@@ -436,11 +436,34 @@ def test_pair_order_is_pinned(monkeypatch, make_gens, pairs, digest):
     assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("n, co, p", [(7, 1, 3), (8, 1, 5), (8, 2, 3)],
+                         ids=["e7_1_bracket_p3_local", "e8_1_bracket_p5_local", "e8_2_bracket_p3_local"])
+def test_reducer_records_stay_fresh(monkeypatch, n, co, p):
+    # Every record (lm, ecart, g) that the completion hands to the
+    # reduction loop holds the lm and ecart of its g.  A corner's cut
+    # shortens the tails, so a record kept from before the cut would
+    # overstate its ecart and skew the reducer choice.
+    records = []
+    real_reduce = gbasis._reduce
+
+    def logged(seed, reducers, *args):
+        records.extend(reducers)
+        return real_reduce(seed, reducers, *args)
+
+    monkeypatch.setattr(gbasis, "_reduce", logged)
+    germ = instantiate("E", n, co, p).germ()
+    complete_basis(bracket_ideal(jacobian_ideal(germ), germ).local().gens)
+    stale = [r[0] for r in records if (r[0], r[1]) != (r[2].lm(), r[2].ecart())]
+    assert records
+    assert not stale, f"{len(stale)} of {len(records)} records are stale"
+
+
 # -- the reduction loop against a merge loop ------------------------------------
 
 def reduce_poly(f, gens, budget, corner=None):
-    """`_reduce` on one polynomial: the seed is f itself, 1 * 1 * f."""
-    return _reduce(((f, 1, (0,) * f.ring.nvars),), gens, budget, corner)
+    """`_reduce` on one polynomial: the seed is f itself, 1 * 1 * f, and
+    the reducers are the records of gens."""
+    return _reduce(((f, 1, (0,) * f.ring.nvars),), [_reducer(g) for g in gens], budget, corner)
 
 
 def cut_multiple(g, c, m, corner):
