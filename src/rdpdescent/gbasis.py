@@ -102,13 +102,21 @@ higher corner has a standard representation modulo the lower one too.
 All loops charge a shared step budget; exceeding it raises
 EngineLimitError, never a wrong answer.
 
-The working polynomial h of `_reduce` is a dict from packed key
-(`Ring.key`) to term, with a heap of its keys for the leading term.  It
-starts from f, or from the two multiples of an S-pair (`_pair`), added
-as each step adds the |g| terms of its reducer multiple: the rest of h is
-left alone, O(|g| log |h|) work, where a merge of two sorted term tuples
-would cost O(|h| + |g|); a reducer of positive ecart adds an O(|h|) scan
-for h's ecart.  The start is not charged, and a step's charge stays
+The engine works on packed keys (`Ring.key`, the `poly` module
+docstring), which are at once the ordering and the exponents: a product
+of monomials is a sum of keys, and divisibility, lcms and degrees are
+read off the exponent records with a few int operations.  No exponent
+tuple is built inside the engine; a reducer record decodes its leading
+monomial once, for the staircase sweep, and a Polynomial the engine
+returns decodes its terms only when a reader asks for them.
+
+The working polynomial h of `_reduce` is a dict from packed key to
+coefficient, with a heap of its keys for the leading term.  It starts
+from f, or from the two multiples of an S-pair (`_pair`), added as each
+step adds the |g| terms of its reducer multiple: the rest of h is left
+alone, O(|g| log |h|) work, where a merge of two sorted term tuples would
+cost O(|h| + |g|); a reducer of positive ecart adds an O(|h|) scan for
+h's ecart.  The start is not charged, and a step's charge stays
 1 + (|h| + |g|) // 8, read off the dict's size: the budget measures the
 size of the reduction, not how h happens to be held, so a cap is reached
 at the same step whatever the representation.
@@ -122,8 +130,8 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineLimitError, UsageError
-from .poly import (Mono, OrderingTag, Polynomial, Ring, _check_product, _from_keyed,
-                   inv_mod, mono_deg, mono_divides, mono_lcm, mono_mul, mono_quot)
+from .poly import (Mono, OrderingTag, Polynomial, Ring, _check_product, _from_keyed, inv_mod,
+                   mono_deg)
 
 DEFAULT_STEP_CAP = 10 ** 6
 
@@ -195,26 +203,27 @@ class StandardBasis:
         return f"StandardBasis({[str(g) for g in self.gens]}, {self.ring!r})"
 
 
-def _kept_below(terms: Sequence[Tuple[Mono, int]], bound: int) -> int:
-    """The number of leading terms of degree below bound: the cut rule of
-    the corner.  The local ordering runs terms by increasing degree, so
-    the terms of degree >= bound are a suffix, and those before it are kept.
+def _kept_below(keys: Sequence[int], ring: Ring, bound: int) -> int:
+    """The number of leading keys of degree below bound: the cut rule of
+    the corner.  The local ordering runs keys by increasing degree, so the
+    keys of degree >= bound are a suffix, and those before it are kept.
     """
-    k = len(terms)
-    while k and mono_deg(terms[k - 1][0]) >= bound:
+    k = len(keys)
+    while k and ring.deg(keys[k - 1]) >= bound:
         k -= 1
     return k
 
 
 def _pair(f: Polynomial, g: Polynomial) -> tuple:
-    """The S-pair of f and g as two multiples (g, c, m), whose sum cancels
-    the leading terms against their lcm: the one owner of the S-pair
-    formula, which `_reduce` sums."""
-    p = f.ring.p
-    lmf, lmg = f.lm(), g.lm()
-    lcm = mono_lcm(lmf, lmg)
-    return ((f, inv_mod(f.lc(), p), mono_quot(lcm, lmf)),
-            (g, p - inv_mod(g.lc(), p), mono_quot(lcm, lmg)))
+    """The S-pair of f and g as two multiples (g, c, shift), whose sum
+    cancels the leading terms against their lcm; shift is the key of the
+    multiplier, key(lcm) - key(lm).  The one owner of the S-pair formula,
+    which `_reduce` sums."""
+    ring = f.ring
+    p = ring.p
+    kf, kg = f.keys[0], g.keys[0]
+    lcm = ring.record_key(ring.record_lcm(ring.record(kf), ring.record(kg)))
+    return ((f, inv_mod(f.lc(), p), lcm - kf), (g, p - inv_mod(g.lc(), p), lcm - kg))
 
 
 def spoly(f: Polynomial, g: Polynomial, corner: Optional[int] = None) -> Polynomial:
@@ -225,14 +234,18 @@ def spoly(f: Polynomial, g: Polynomial, corner: Optional[int] = None) -> Polynom
 
 
 def _reducer(g: Polynomial) -> tuple:
-    """The reducer record (lm, ecart, g) of a nonzero g, which `_reduce` reads."""
-    return g.lm(), g.ecart(), g
+    """The reducer record (lm, ecart, g, e) of a nonzero g, which `_reduce`
+    reads: e is the exponent record of the leading monomial, and lm its
+    exponent tuple, decoded once for the staircase sweep."""
+    ring, k = g.ring, g.keys[0]
+    return ring.mono(k), g.ecart(), g, ring.record(k)
 
 
-def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], reducers: Sequence[tuple],
+def _reduce(seed: Sequence[Tuple[Polynomial, int, int]], reducers: Sequence[tuple],
             budget: _Budget, corner: Optional[int] = None) -> Polynomial:
-    """Normal form of the sum of the multiples c*m*g in seed against the
-    reducer records (lm, ecart, g): the one reduction loop of the engine.
+    """Normal form of the sum of the multiples c*m*g in seed, each given
+    as (g, c, key(m)), against the reducer records (lm, ecart, g, e): the
+    one reduction loop of the engine.
 
     Each step cancels the leading term of the working polynomial h against
     the reducer of least ecart whose leading monomial divides it, ties
@@ -247,46 +260,50 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], reducers: Sequence[tup
     Against no reducers the loop returns the seeded sum.  A caller that
     reduces against the same elements many times builds their records once.
 
-    h is held as a dict from packed key to term, with a max-heap of its
-    keys (negated, on heapq) from which cancelled keys are dropped when
-    they surface.  The leading term is the top of the heap.  Its ecart,
-    needed only when the chosen reducer has a positive one, comes from the
-    smallest key, which under the local ordering is the term of highest
-    degree.  The seed and each step's reducer multiple are added by the
-    same code, which reads the kept terms of g in place and leaves out the
-    reducer's leading term, the one the step cancels.  Keys are additive,
-    so a multiple's keys are g's shifted by key(m), and a monomial is built
-    only for a key that h does not hold yet: a step costs O(|g| log |h|),
-    not the O(|h| + |g|) of a merge, plus an O(|h|) scan for h's ecart when
-    the reducer's ecart is positive.  A joining h is recorded with a sorted
-    Polynomial snapshot.  The dict knows |h|, so `_Budget.step` charges
-    exactly what a merge of h and g is charged (module docstring).
+    h is held as a dict from packed key to coefficient, with a max-heap of
+    its keys (negated, on heapq) from which cancelled keys are dropped when
+    they surface.  The leading term is the top of the heap.  The scan for a
+    reducer that divides it runs the guard test of `Ring.record_divides` on
+    the records, inlined, as it is the engine's innermost test.  h's ecart,
+    needed only when the chosen reducer has a positive one, is the degree
+    of the smallest key, which under the local ordering is the term of
+    highest degree, less that of the leading key.  The seed and each step's
+    reducer multiple are added by the same code, which reads the kept terms
+    of g in place and leaves out the reducer's leading term, the one the
+    step cancels.  Keys are additive, so a multiple's keys are g's shifted
+    by key(m), the step's key(m) being the leading key less g's, and no
+    monomial is built: a step costs O(|g| log |h|), not the O(|h| + |g|)
+    of a merge, plus an O(|h|) scan for h's ecart when the reducer's ecart
+    is positive.  A joining h is recorded with a sorted Polynomial
+    snapshot and the record of its leading monomial; the lm slot, read by
+    nobody, is left None, so nothing is decoded, and neither is the
+    remainder.  The dict knows |h|, so `_Budget.step` charges exactly what
+    a merge of h and g is charged (module docstring).
     """
     ring = seed[0][0].ring
-    p = ring.p
+    p, guards = ring.p, ring.guards
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
     reducers = list(reducers)  # the joins stay local to this call
     h: dict = {}
     heap: List[int] = []
     remainder: dict = {}
 
-    def add(g: Polynomial, c: int, m: Mono, start: int):
-        # h += c*m*g over the terms of g from index start on, cut below the corner.
-        terms, keys = g.terms, g.keys
-        stop = len(keys) if corner is None else _kept_below(terms, corner - mono_deg(m))
-        _check_product(terms, stop, m)
-        shift = ring.key(m)  # the key is additive
+    def add(g: Polynomial, c: int, m: int, start: int):
+        # h += c*x^m*g over the terms of g from index start on, cut below
+        # the corner; m is a key.
+        keys, coeffs = g.keys, g.coeffs
+        stop = len(keys) if corner is None else _kept_below(keys, ring, corner - ring.deg(m))
+        _check_product(ring, keys, stop, m)
         for i in range(start, stop):
-            k = keys[i] + shift
-            mg, cg = terms[i]
+            k = keys[i] + m  # the key is additive
             old = h.get(k)
             if old is None:
-                h[k] = (mono_mul(mg, m), cg * c % p)
+                h[k] = coeffs[i] * c % p
                 heapq.heappush(heap, -k)
             else:
-                cg = (old[1] + cg * c) % p
-                if cg:
-                    h[k] = (old[0], cg)
+                old = (old + coeffs[i] * c) % p
+                if old:
+                    h[k] = old
                 else:
                     del h[k]
 
@@ -294,13 +311,14 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], reducers: Sequence[tup
         add(g, c, m, 0)
     while heap:
         lead = -heapq.heappop(heap)
-        term = h.get(lead)
-        if term is None:
+        lc = h.get(lead)
+        if lc is None:
             continue  # cancelled after it was pushed
-        lm = term[0]
+        e = ring.record(lead)
+        guarded = e | guards  # for the guard test of Ring.record_divides, inlined
         best = None
         for r in reducers:
-            if (best is None or r[1] < best[1]) and mono_divides(r[0], lm):
+            if (best is None or r[1] < best[1]) and (guarded - r[3]) & guards == guards:
                 best = r
                 if r[1] == 0:
                     break  # nothing later can win
@@ -309,15 +327,15 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, Mono]], reducers: Sequence[tup
                 break
             remainder[lead] = h.pop(lead)
             continue
-        lmg, ec, g = best
+        _, ec, g, _ = best
         if ec:
-            eh = mono_deg(h[min(h)][0]) - mono_deg(lm)
+            eh = ring.deg(min(h)) - ring.deg(lead)
             if ec > eh:
-                reducers.append((lm, eh, _from_keyed(ring, h)))
-        budget.step(len(h), len(g.terms))
+                reducers.append((None, eh, _from_keyed(ring, h), e))
+        budget.step(len(h), len(g.keys))
         del h[lead]  # the multiple's leading term cancels it
-        c = p - term[1] * inv_mod(g.lc(), p) % p  # minus the multiple's coefficient
-        add(g, c, mono_quot(lm, lmg), 1)
+        c = p - lc * inv_mod(g.coeffs[0], p) % p  # minus the multiple's coefficient
+        add(g, c, lead - g.keys[0], 1)
     return _from_keyed(ring, remainder if is_global else h)
 
 
@@ -331,7 +349,7 @@ def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynom
     """
     for g in basis:
         f._check_ring(g)
-    return _reduce(((f, 1, (0,) * f.ring.nvars),), [_reducer(g) for g in basis],
+    return _reduce(((f, 1, 0),), [_reducer(g) for g in basis],  # key(1) = 0
                    _Budget(step_cap), getattr(basis, "corner", None))
 
 
@@ -340,7 +358,7 @@ def _prepare(gens: Sequence[Polynomial]) -> List[Polynomial]:
     for g in gens:
         if not g.is_zero:
             g = g.monic()
-            unique.setdefault(g.terms, g)
+            unique.setdefault(g, g)
     return sorted(unique.values(), key=lambda g: g.keys[0], reverse=True)
 
 
@@ -393,10 +411,10 @@ def _staircase(lms: Sequence[Mono]) -> tuple:
 def _cut_at(g: Polynomial, corner: int) -> Polynomial:
     """A basis element modulo m^corner: its terms of lower degree, or its
     leading monomial alone when that has degree >= corner."""
-    if mono_deg(g.lm()) >= corner:
-        return g.ring.poly({g.lm(): 1})
-    k = _kept_below(g.terms, corner)
-    return Polynomial(g.ring, g.terms[:k], g.keys[:k])
+    if g.ring.deg(g.keys[0]) >= corner:
+        return Polynomial(g.ring, None, g.keys[:1], [1])
+    k = _kept_below(g.keys, g.ring, corner)
+    return Polynomial(g.ring, None, g.keys[:k], g.coeffs[:k])
 
 
 def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -> StandardBasis:
@@ -436,10 +454,12 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     budget = _Budget(step_cap)
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
 
-    basis: List[tuple] = []  # reducer records (lm, ecart, g); `_cut_at` keeps each lm
+    basis: List[tuple] = []  # reducer records (lm, ecart, g, e); `_cut_at` keeps each lm
     corner = stair = None  # stair: the last sweep of the lms, which the returned basis takes over
-    # (deg lcm, key of lcm, j, i, lcm) for the pair (i, j), i < j
-    queue: List[Tuple[int, int, int, int, Mono]] = []
+    # (deg lcm, key of lcm, j, i, lcm) for the pair (i, j), i < j; the
+    # lcms are exponent records
+    queue: List[Tuple[int, int, int, int, int]] = []
+    deg = ring.record_deg
 
     def add(g):
         nonlocal corner, stair
@@ -451,20 +471,19 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
             if stair[1] is not None and (corner is None or stair[1] < corner):
                 corner = stair[1]
                 basis[:] = [_reducer(_cut_at(r[2], corner)) for r in basis]
-        k, lmk = len(basis) - 1, basis[-1][0]
-        lcms = [mono_lcm(r[0], lmk) for r in basis[:k]]
+        k, ek = len(basis) - 1, basis[-1][3]
+        lcms = [ring.record_lcm(r[3], ek) for r in basis[:k]]
         # F: one new pair per lcm, a coprime one if there is one (the
         # product criterion then skips it), else the first.
         kept = {}
         for i, lcm in enumerate(lcms):
-            if lcm not in kept or (is_global and lcm == mono_mul(basis[i][0], lmk)):
+            if lcm not in kept or (is_global and lcm == basis[i][3] + ek):
                 kept[lcm] = i
         # M: no new pair whose lcm is a proper multiple of another's.  By
         # increasing degree, it suffices to test the lcms kept so far.
-        below = [lcm for lcm in sorted(kept, key=mono_deg)
-                 if corner is None or mono_deg(lcm) < corner]
-        for lcm in _minimal(below):
-            heapq.heappush(queue, (mono_deg(lcm), ring.key(lcm), k, kept[lcm], lcm))
+        below = [lcm for lcm in sorted(kept, key=deg) if corner is None or deg(lcm) < corner]
+        for lcm in _minimal(below, ring):
+            heapq.heappush(queue, (deg(lcm), ring.record_key(lcm), k, kept[lcm], lcm))
 
     for g in _prepare(gens):
         add(g)
@@ -477,12 +496,12 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
             break  # queued before the corner fell, and so is everything left
         # B: (i, j) is a chain through a later k when LM(k) | lcm(i, j) and
         # both lcm(i, k) and lcm(j, k) are proper divisors of lcm(i, j).
-        (lmi, _, gi), (lmj, _, gj) = basis[i], basis[j]
-        if any(mono_divides(m, lcm) and mono_lcm(lmi, m) != lcm != mono_lcm(lmj, m)
-               for m, _, _ in basis[j + 1:]):
+        (_, _, gi, ei), (_, _, gj, ej) = basis[i], basis[j]
+        if any(ring.record_divides(e, lcm) and ring.record_lcm(ei, e) != lcm != ring.record_lcm(ej, e)
+               for _, _, _, e in basis[j + 1:]):
             continue  # costs nothing
         budget.spend()
-        if is_global and lcm == mono_mul(lmi, lmj):
+        if is_global and lcm == ei + ej:
             continue  # coprime leading monomials: S-pair reduces to zero
         h = _reduce(_pair(gi, gj), basis, budget, corner)
         if not h.is_zero:
@@ -491,12 +510,13 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     return _minimalize(basis, ring, budget, stair)
 
 
-def _minimal(items: Sequence, lm=lambda m: m) -> list:
-    """The items, in scan order, whose lm no earlier kept item's lm divides."""
+def _minimal(items: Sequence, ring: Ring, record=lambda e: e) -> list:
+    """The items, in scan order, whose exponent record no earlier kept
+    item's record divides."""
     kept: list = []
     for item in items:
-        m = lm(item)
-        if not any(mono_divides(lm(k), m) for k in kept):
+        e = record(item)
+        if not any(ring.record_divides(record(k), e) for k in kept):
             kept.append(item)
     return kept
 
@@ -504,14 +524,14 @@ def _minimal(items: Sequence, lm=lambda m: m) -> list:
 def _minimalize(basis: List[tuple], ring: Ring, budget: _Budget, stair) -> StandardBasis:
     # Drop the records whose leading monomial is divisible by another's;
     # the remaining leading terms still generate the leading ideal.
-    kept = _minimal(sorted(basis, key=lambda r: (mono_deg(r[0]), r[2].keys[0])), lambda r: r[0])
+    kept = _minimal(sorted(basis, key=lambda r: (ring.deg(r[2].keys[0]), r[2].keys[0])),
+                    ring, lambda r: r[3])
     if ring.ordering == OrderingTag.GLOBAL_DEGREVLEX:
         # Tail-reduce to the unique reduced Groebner basis.  The basis is
         # minimal, so no leading monomial changes, and a remainder free of
         # them stays free when the others are reduced: one pass suffices.
-        one = (0,) * ring.nvars
-        for i in range(len(kept)):
-            kept[i] = _reducer(_reduce(((kept[i][2], 1, one),), kept[:i] + kept[i + 1:], budget).monic())
+        for i in range(len(kept)):  # key(1) = 0
+            kept[i] = _reducer(_reduce(((kept[i][2], 1, 0),), kept[:i] + kept[i + 1:], budget).monic())
     kept.sort(key=lambda r: r[2].keys[0], reverse=True)
     # The leading ideal is that of the completion, so its last sweep is the
     # basis's staircase; under the global ordering stair is None and it sweeps.
@@ -541,7 +561,9 @@ def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None)
 
 def leading_ideal(basis: StandardBasis) -> Tuple[Mono, ...]:
     """Minimal generating set of the leading term ideal."""
-    return tuple(_minimal(sorted(set(basis.leading_monomials()), key=mono_deg)))
+    ring = basis.ring
+    return tuple(_minimal(sorted(set(basis.leading_monomials()), key=mono_deg), ring,
+                          lambda m: ring.record(ring.key(m))))
 
 
 def is_dimension_zero(basis: StandardBasis) -> bool:

@@ -4,12 +4,13 @@ The ring owns the characteristic: a prime p with 2 <= p <= 97, checked
 when the Ring is built.  Everything in the catalog lives in p = 2, 3, 5,
 and the cap keeps all coefficient arithmetic in native word size.
 
-Monomials are plain exponent tuples.  A polynomial keeps its terms as a
-tuple of (monomial, coefficient) pairs sorted in strictly decreasing order
-under the ambient ring's monomial ordering, with no zero coefficients;
-the zero polynomial has an empty term tuple.  Coefficients are stored as
-raw canonical residues in [0, p); the test suite checks this arithmetic
-against sympy's GF(p).
+A polynomial keeps its terms in strictly decreasing order under the
+ambient ring's monomial ordering, with no zero coefficients, as two
+parallel lists: the packed keys of its monomials (`keys`, below) and
+their coefficients (`coeffs`), raw canonical residues in [0, p); the zero
+polynomial has empty lists.  At the API, monomials are exponent tuples
+and `terms` is the tuple of (monomial, coefficient) pairs in the same
+order.  The test suite checks the arithmetic against sympy's GF(p).
 
 Two orderings are supported:
 
@@ -19,44 +20,58 @@ Two orderings are supported:
   this ordering the ring of fractions with invertible leading terms is
   exactly the localization at the origin.
 
-Packed keys.  The ordering is one int per monomial, `Ring.key(m)`, and
-m > m' exactly when key(m) > key(m').  In n variables the key packs n
-fields of `(MAX_EXPONENT * n).bit_length()` bits each.  The top field
-holds deg(m) under the global ordering and -deg(m) under the local one;
-below it come the partial sums S_(n-1), ..., S_1, where S_k is
-e_1 + ... + e_k.  With the degree fixed, a larger S_(n-1) means a smaller
-last exponent, and with that fixed as well, a larger S_(n-2) means a
-smaller next-to-last one, and so on: this is the reverse lexicographic
-tie-break.  A field never exceeds n * (MAX_EXPONENT - 1), so every field
-of a monomial with exponents below MAX_EXPONENT fits in its width, and
-integer order is field-by-field order.  That holds also when the top
-field is negative: the fields below it add a value in [0, 2^s) to a
-multiple of 2^s, s the top field's shift.  Each field is linear in the
-exponents, so the key is a linear form, key(m) = w . m, with
+Packed keys.  A monomial is one int, `Ring.key(m)`, that is both its
+ordering key and its exponent record.  In n variables,
+
+    key(m) = +-deg(m) * 2^(32n) - (e_1 + e_2 * 2^32 + ... + e_n * 2^(32(n-1))),
+
+with + under the global ordering and - under the local one.  The
+subtracted sum is the exponent record E(m): n fields of 32 bits, e_1 at
+the bottom.  It lies in [0, 2^(32n)), so integer order compares the
+(signed) degree first; with the degree fixed, a smaller e_n gives a
+larger key, and with that fixed a smaller e_(n-1), and so on: the reverse
+lexicographic tie-break.  The key is a linear form, key(m) = w . m, so
 key(a*b) = key(a) + key(b) and key(m^q) = q * key(m).
 
-A Polynomial carries the keys of its terms in `keys`, computed once when
-it is built from monomials.  Addition and subtraction sum the terms in a
-dict keyed by these ints, as the reduction loop of `gbasis` sums its
-working polynomial, and `_from_keyed` sorts such a dict back into a
+The exponents read back off the key.  The record is
+E = (-key) & (2^(32n) - 1), the degree is |(-key) >> 32n|, and the fields
+are 32 bits wide so that C decodes a record in one call
+(`struct.unpack` of its little-endian bytes, `Ring.mono`).  No exponent
+reaches MAX_EXPONENT = 2^16 (`_check_mono`, `_check_product`,
+`frobenius` and the parser enforce it), so bit 16 of every field is clear
+and serves as a guard bit.  With G the guard bits of all fields, a | b
+exactly when ((E(b) | G) - E(a)) & G == G (`Ring.record_divides`),
+because each field of the difference keeps its guard bit just when
+e_i(a) <= e_i(b) and never borrows from the field above.  The same
+guards select the larger field of two records, which gives the lcm
+(`Ring.record_lcm`), and E % (2^32 - 1) is the degree of a bare record.
+So the reduction loop and the pair bookkeeping of `gbasis` multiply,
+divide and take lcms on ints and build no exponent tuple.
+
+A Polynomial that the engine builds carries only keys and coefficients:
+`terms` is decoded from the keys the first time a reader asks for it,
+and kept.  Equality, hashing, `is_zero`, `lm`, `lc`, the degrees, sums,
+scaling, `term_mul` and `frobenius` read the keys and decode no whole
+polynomial; general products, `partial`, `rename` and `render` read the
+terms.  Addition and subtraction sum the terms in a dict keyed by the
+keys, as the reduction loop of `gbasis` sums its working polynomial, and
+`_from_keyed`, the one builder from such a dict, sorts it back into a
 Polynomial; `term_mul` shifts the keys by one addition per term, `tail`
 and `gbasis._cut_at` slice them, and the reduction loop shifts the kept
-prefix of a reducer's keys where they lie, without a copy.  The keys are
-a list that nothing mutates, not a tuple: CPython keeps a dead tuple
-shorter than 20 on a free list for its length, up to 2000 of them, and
-as tuples the keys raised the peak resident memory of a round of the
-`coords` benchmark workload by 0.7 MB (CPython 3.11 on Linux).  The keys
-are never part of equality or hashing, and monomials stay exponent
-tuples at the API: divisibility, lcm, the parser and the truncation
-oracle's rows all need the exponents, which a key does not expose.
+prefix of a reducer's keys where they lie, without a copy.  The keys and
+coefficients are lists that nothing mutates, not tuples: CPython keeps a
+dead tuple shorter than 20 on a free list for its length, up to 2000 of
+them, and as tuples the keys raised the peak resident memory of a round
+of the `coords` benchmark workload by 0.7 MB (CPython 3.11 on Linux).
 """
 
 from __future__ import annotations
 
 import enum
 import re
+import struct
 from operator import add, le, mul, sub
-from typing import Collection, Dict, Iterable, List, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import UsageError
 
@@ -118,17 +133,6 @@ def product_terms(a: Iterable[Tuple[Mono, int]], b: Collection[Tuple[Mono, int]]
     return acc
 
 
-def _key_weights(n: int, ordering: OrderingTag) -> Tuple[int, ...]:
-    """The weights w of the packed key w . m (module docstring): exponent
-    e_(i+1) counts once in the degree field and once in each partial sum
-    S_k with k > i, and S_k sits k - 1 fields above the bottom."""
-    width = (MAX_EXPONENT * n).bit_length()
-    top = 1 << (width * (n - 1))
-    if ordering is OrderingTag.LOCAL_NEG_DEGREVLEX:
-        top = -top
-    return tuple(top + sum(1 << (width * k) for k in range(i, n - 1)) for i in range(n))
-
-
 #: A variable name: an ASCII letter or '_', then ASCII letters, digits and
 #: '_'.  The parser scans names with the same pattern.
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -138,7 +142,7 @@ class Ring:
     """Ambient polynomial ring descriptor: the prime characteristic p,
     variable names, and the monomial ordering."""
 
-    __slots__ = ("p", "names", "ordering", "weights")
+    __slots__ = ("p", "names", "ordering", "weights", "shift", "top", "mask", "guards", "_unpack")
 
     def __init__(self, p: int, names: Sequence[str],
                  ordering: OrderingTag = OrderingTag.GLOBAL_DEGREVLEX):
@@ -156,11 +160,54 @@ class Ring:
         self.p = p
         self.names = names
         self.ordering = ordering
-        self.weights = _key_weights(len(names), ordering)
+        # The packed key (module docstring): the degree field at bit
+        # shift = 32n, signed by the ordering, minus the exponent record.
+        n = len(names)
+        self.shift = 32 * n
+        self.top = -1 << self.shift if ordering is OrderingTag.LOCAL_NEG_DEGREVLEX else 1 << self.shift
+        self.weights = tuple(self.top - (1 << (32 * i)) for i in range(n))
+        self.mask = (1 << self.shift) - 1
+        self.guards = sum(1 << (32 * i + 16) for i in range(n))
+        self._unpack = struct.Struct(f"<{n}I").unpack
 
     def key(self, m: Mono) -> int:
         """The packed ordering key of a monomial (module docstring)."""
         return sum(map(mul, m, self.weights))
+
+    def record(self, k: int) -> int:
+        """The exponent record of a key."""
+        return -k & self.mask
+
+    def mono(self, k: int) -> Mono:
+        """The exponent tuple of a key."""
+        return self._unpack((-k & self.mask).to_bytes(self.shift >> 3, "little"))
+
+    def deg(self, k: int) -> int:
+        """The degree of the monomial of a key."""
+        return abs(-k >> self.shift)
+
+    @staticmethod
+    def record_deg(e: int) -> int:
+        """The degree of an exponent record: 2^32 is 1 modulo 2^32 - 1, and
+        no degree reaches 2^32 - 1."""
+        return e % 0xFFFFFFFF
+
+    def record_key(self, e: int) -> int:
+        """The key of an exponent record."""
+        return self.top * self.record_deg(e) - e
+
+    def record_divides(self, a: int, b: int) -> bool:
+        """Whether the monomial of record a divides that of record b: the
+        guard test (module docstring)."""
+        g = self.guards
+        return ((b | g) - a) & g == g
+
+    def record_lcm(self, a: int, b: int) -> int:
+        """The lcm of two exponent records: each field the larger one."""
+        g = self.guards
+        ge = ((a | g) - b) & g  # the guard bit of each field where a's is >= b's
+        ge -= ge >> 16  # ... widened to the 16 bits of that field
+        return (a & ge) | (b & ~ge)
 
     @property
     def nvars(self) -> int:
@@ -172,7 +219,7 @@ class Ring:
         return Ring(self.p, self.names, ordering)
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, (), [])
+        return Polynomial(self, (), [], [])
 
     def one(self) -> "Polynomial":
         return self.constant(1)
@@ -181,7 +228,7 @@ class Ring:
         c %= self.p
         if c == 0:
             return self.zero()
-        return Polynomial(self, (((0,) * self.nvars, c),), [0])  # key(1) = 0
+        return Polynomial(self, None, [0], [c])  # key(1) = 0
 
     def poly(self, terms: Dict[Mono, int]) -> "Polynomial":
         if not isinstance(terms, dict):
@@ -211,94 +258,112 @@ def _check_mono(ring: Ring, m: Mono) -> Mono:
     return m
 
 
-def _check_product(terms: Sequence[Tuple[Mono, int]], stop: int, m: Mono) -> None:
-    """Raise the exponent overflow of the first of terms[:stop] whose product
-    with m has an exponent >= MAX_EXPONENT.  Terms run by degree, so the
-    ends of the prefix bound its degrees, and usually settle the check."""
-    if not stop or sum(m) + max(sum(terms[0][0]), sum(terms[stop - 1][0])) < MAX_EXPONENT:
-        return  # sum is mono_deg, called here on every reduction step
-    for mm, _ in terms[:stop]:
-        e = max(map(add, mm, m))
+def _check_product(ring: Ring, keys: Sequence[int], stop: int, shift: int) -> None:
+    """Raise the exponent overflow of the first of keys[:stop] whose product
+    with the monomial of key shift has an exponent >= MAX_EXPONENT.  Keys
+    run by degree, so the ends of the prefix bound its degrees, and
+    usually settle the check without a decode.  A 32-bit field holds the
+    sum of two exponents below 2^16 exactly, so the product's key decodes
+    to the exponents that overflow."""
+    deg = ring.deg
+    if not stop or deg(shift) + max(deg(keys[0]), deg(keys[stop - 1])) < MAX_EXPONENT:
+        return
+    for k in keys[:stop]:
+        e = max(ring.mono(k + shift))
         if e >= MAX_EXPONENT:
             raise UsageError(f"exponent overflow: {e} >= {MAX_EXPONENT}")
 
 
 def _from_dict(ring: Ring, d: Dict[Mono, int]) -> "Polynomial":
     p = ring.p
-    items = []
+    acc = {}
     for m, c in d.items():
         c %= p
         if c:
-            m = _check_mono(ring, m)
-            items.append((ring.key(m), m, c))
-    items.sort(reverse=True)  # keys are distinct, so only they are compared
-    return Polynomial(ring, tuple((m, c) for _, m, c in items), [k for k, _, _ in items])
+            acc[ring.key(_check_mono(ring, m))] = c
+    return _from_keyed(ring, acc)
 
 
-def _from_keyed(ring: Ring, acc: Dict[int, Tuple[Mono, int]]) -> "Polynomial":
-    """The polynomial of a {key: (monomial, coefficient)} dict whose
-    coefficients are nonzero residues."""
+def _from_keyed(ring: Ring, acc: Dict[int, int]) -> "Polynomial":
+    """The polynomial of a {key: coefficient} dict whose coefficients are
+    nonzero residues: the one builder from a keyed dict."""
     keys = sorted(acc, reverse=True)
-    return Polynomial(ring, tuple(map(acc.__getitem__, keys)), keys)
+    return Polynomial(ring, None, keys, list(map(acc.__getitem__, keys)))
 
 
 class Polynomial:
     """Immutable sparse polynomial; see module docstring for the invariants.
 
     Construct through Ring.poly / Ring.constant / parse_poly rather than
-    directly: the term tuple is trusted to be canonical, and the keys,
-    which are always given, to match it (keys[i] is ring.key(terms[i][0])).
+    directly: the keys are trusted to be canonical and the coefficients
+    to match them.  Given terms are trusted to match the keys as well
+    (keys[i] is ring.key(terms[i][0])) and give the coefficients; terms
+    None are decoded from the keys when first read.
     """
 
-    __slots__ = ("ring", "terms", "keys")
+    __slots__ = ("ring", "keys", "coeffs", "_terms")
 
-    def __init__(self, ring: Ring, terms: Tuple[Tuple[Mono, int], ...], keys: List[int]):
+    def __init__(self, ring: Ring, terms: Optional[Tuple[Tuple[Mono, int], ...]], keys: List[int],
+                 coeffs: Optional[List[int]] = None):
         self.ring = ring
-        self.terms = terms
         self.keys = keys
+        self.coeffs = [c for _, c in terms] if coeffs is None else coeffs
+        self._terms = terms
+
+    @property
+    def terms(self) -> Tuple[Tuple[Mono, int], ...]:
+        """The (monomial, coefficient) pairs, decoded once."""
+        if self._terms is None:
+            self._terms = tuple(zip(map(self.ring.mono, self.keys), self.coeffs))
+        return self._terms
 
     # -- basic queries ----------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.keys
 
     def lm(self) -> Mono:
-        if not self.terms:
+        if not self.keys:
             raise UsageError("zero polynomial has no leading monomial")
-        return self.terms[0][0]
+        return self.ring.mono(self.keys[0])
 
     def lc(self) -> int:
-        if not self.terms:
+        if not self.keys:
             raise UsageError("zero polynomial has no leading coefficient")
-        return self.terms[0][1]
+        return self.coeffs[0]
 
     def tail(self) -> "Polynomial":
-        return Polynomial(self.ring, self.terms[1:], self.keys[1:])
+        return Polynomial(self.ring, None, self.keys[1:], self.coeffs[1:])
 
     # Both orderings compare the total degree first, so the terms run by
     # decreasing degree (global) or increasing degree (local), and the
-    # extreme degrees sit at the two ends of the term tuple.
+    # extreme degrees sit at the two ends of the key list.
 
     def degree(self) -> int:
         """Maximal total degree of a term (-1 for the zero polynomial)."""
-        if not self.terms:
+        if not self.keys:
             return -1
         last = self.ring.ordering is OrderingTag.LOCAL_NEG_DEGREVLEX
-        return mono_deg(self.terms[-1 if last else 0][0])
+        return self.ring.deg(self.keys[-1 if last else 0])
 
     def order(self) -> int:
         """Minimal total degree of a term (-1 for the zero polynomial)."""
-        if not self.terms:
+        if not self.keys:
             return -1
         last = self.ring.ordering is OrderingTag.GLOBAL_DEGREVLEX
-        return mono_deg(self.terms[-1 if last else 0][0])
+        return self.ring.deg(self.keys[-1 if last else 0])
 
     def ecart(self) -> int:
-        return self.degree() - mono_deg(self.lm())
+        return self.degree() - self.ring.deg(self.keys[0])
 
     def constant_coeff(self) -> int:
-        return self.coeff((0,) * self.ring.nvars)
+        # key(1) = 0 is the smallest key under the global ordering and the
+        # largest under the local one.
+        if not self.keys:
+            return 0
+        i = -1 if self.ring.ordering is OrderingTag.GLOBAL_DEGREVLEX else 0
+        return self.coeffs[i] if self.keys[i] == 0 else 0
 
     def coeff(self, m: Mono) -> int:
         for mm, c in self.terms:
@@ -315,17 +380,17 @@ class Polynomial:
     # -- arithmetic -------------------------------------------------------
 
     def _plus(self, other: "Polynomial", c: int) -> "Polynomial":
-        """self + c*other, summed in a {key: term} dict like the reduction
-        loop of `gbasis`; equal keys mean equal monomials."""
+        """self + c*other for c = +-1, summed in a {key: coefficient} dict
+        like the reduction loop of `gbasis`."""
         self._check_ring(other)
         p = self.ring.p
-        acc = dict(zip(self.keys, self.terms))
-        for k, (m, cb) in zip(other.keys, other.terms):
-            cb = (acc[k][1] + cb * c) % p if k in acc else cb * c % p
+        acc = dict(zip(self.keys, self.coeffs))
+        for k, cb in zip(other.keys, other.coeffs):
+            cb = (acc.get(k, 0) + cb * c) % p
             if cb:
-                acc[k] = (m, cb)
+                acc[k] = cb
             else:
-                del acc[k]
+                del acc[k]  # a new key has the nonzero coefficient c*cb
         return _from_keyed(self.ring, acc)
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
@@ -341,41 +406,49 @@ class Polynomial:
         if c == 1:
             return self
         p = self.ring.p
-        return Polynomial(self.ring, tuple((m, (cc * c) % p) for m, cc in self.terms), self.keys)
+        return Polynomial(self.ring, None, self.keys, [cc * c % p for cc in self.coeffs])
 
     def term_mul(self, c: int, m: Mono) -> "Polynomial":
         """Multiply by the single term c*m; preserves term order because the
-        ordering is compatible with multiplication."""
+        ordering is compatible with multiplication.  m is checked as a
+        monomial of the ring: a key of a wrong arity or a negative exponent
+        would stand for another monomial."""
         c %= self.ring.p
-        if c == 0 or not self.terms:
+        if c == 0 or not self.keys:
             return self.ring.zero()
-        _check_product(self.terms, len(self.terms), m)
+        shift = self.ring.key(_check_mono(self.ring, m))  # the key is additive
+        _check_product(self.ring, self.keys, len(self.keys), shift)
         p = self.ring.p
-        shift = self.ring.key(m)  # the key is additive
-        return Polynomial(self.ring, tuple((mono_mul(mm, m), cc * c % p) for mm, cc in self.terms),
-                          [k + shift for k in self.keys])
+        return Polynomial(self.ring, None, [k + shift for k in self.keys],
+                          [cc * c % p for cc in self.coeffs])
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             return self.scale(other)
         self._check_ring(other)
-        if len(other.terms) == 1:
-            m, c = other.terms[0]
-            return self.term_mul(c, m)
+        if len(other.keys) == 1:
+            return self.term_mul(other.coeffs[0], other.lm())
         return _from_dict(self.ring, product_terms(self.terms, other.terms, self.ring.p))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "Polynomial":
+        """Square and multiply: e & 1 picks the squares self^(2^i) that go
+        into the product, and a square is formed only if a higher bit
+        needs it, so no factor exceeds the power itself."""
         if e < 0:
             raise UsageError("negative polynomial powers are not defined")
-        result = self.ring.one()
-        for _ in range(e):
-            result = result * self
+        result, square = self.ring.one(), self
+        while e:
+            if e & 1:
+                result = result * square
+            e >>= 1
+            if e:
+                square = square * square
         return result
 
     def monic(self) -> "Polynomial":
-        if not self.terms:
+        if not self.keys:
             return self
         lc = self.lc()
         if lc == 1:
@@ -405,20 +478,18 @@ class Polynomial:
         """Return self**(p**e), computed term-wise.
 
         Valid by Frobenius additivity: raising to the p-th power is a ring
-        homomorphism in characteristic p, and residues satisfy c**p = c.
+        homomorphism in characteristic p, and residues satisfy c**p = c,
+        so the coefficients stay and the keys, linear, are multiplied.
         """
         if e < 1:
             raise UsageError("frobenius exponent must be >= 1")
         q = self.ring.p ** e
-        p = self.ring.p
-        out = []
-        for m, c in self.terms:
-            mm = tuple(x * q for x in m)
-            for x in mm:
-                if x >= MAX_EXPONENT:
-                    raise UsageError(f"exponent overflow: {x} >= {MAX_EXPONENT}")
-            out.append((mm, pow(c, q, p)))
-        return Polynomial(self.ring, tuple(out), [k * q for k in self.keys])  # linear key
+        if q * max(self.degree(), 0) >= MAX_EXPONENT:  # the degree bounds every exponent
+            for m, _ in self.terms:
+                for x in m:
+                    if x * q >= MAX_EXPONENT:
+                        raise UsageError(f"exponent overflow: {x * q} >= {MAX_EXPONENT}")
+        return Polynomial(self.ring, None, [k * q for k in self.keys], self.coeffs)
 
     def rename(self, perm: Sequence[int]) -> "Polynomial":
         """Relabel variables: old variable i becomes variable perm[i]."""
@@ -434,13 +505,14 @@ class Polynomial:
         return _from_dict(self.ring, acc)
 
     # -- hashing, equality, rendering --------------------------------------
+    # Keys stand for monomials one to one, so these read them, not terms.
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Polynomial) and self.ring == other.ring
-                and self.terms == other.terms)
+                and self.keys == other.keys and self.coeffs == other.coeffs)
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.terms))
+        return hash((self.ring, tuple(self.keys), tuple(self.coeffs)))
 
     def __str__(self) -> str:
         return render(self)

@@ -463,7 +463,7 @@ def test_reducer_records_stay_fresh(monkeypatch, n, co, p):
 def reduce_poly(f, gens, budget, corner=None):
     """`_reduce` on one polynomial: the seed is f itself, 1 * 1 * f, and
     the reducers are the records of gens."""
-    return _reduce(((f, 1, (0,) * f.ring.nvars),), [_reducer(g) for g in gens], budget, corner)
+    return _reduce(((f, 1, 0),), [_reducer(g) for g in gens], budget, corner)
 
 
 def cut_multiple(g, c, m, corner):
