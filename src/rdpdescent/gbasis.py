@@ -105,10 +105,12 @@ EngineLimitError, never a wrong answer.
 The engine works on packed keys (`Ring.key`, the `poly` module
 docstring), which are at once the ordering and the exponents: a product
 of monomials is a sum of keys, and divisibility, lcms and degrees are
-read off the exponent records with a few int operations.  No exponent
-tuple is built inside the engine; a reducer record decodes its leading
-monomial once, for the staircase sweep, and a Polynomial the engine
-returns decodes its terms only when a reader asks for them.
+read off the exponent records with a few int operations, and so is the
+staircase, which `_staircase` sweeps on the records of the leading
+monomials.  No exponent tuple is built inside the engine: only
+`StandardBasis.leading_monomials` and `leading_ideal`, which return
+tuples, decode one, and a Polynomial the engine returns decodes its
+terms only when a reader asks for them.
 
 The working polynomial h of `_reduce` is a dict from packed key to
 coefficient, with a heap of its keys for the leading term.  It starts
@@ -130,8 +132,8 @@ import math
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineLimitError, UsageError
-from .poly import (Mono, OrderingTag, Polynomial, Ring, _check_product, _from_keyed, inv_mod,
-                   mono_deg)
+from .poly import (_WIDTH, Mono, OrderingTag, Polynomial, Ring, _check_product, _from_keyed,
+                   inv_mod)
 
 DEFAULT_STEP_CAP = 10 ** 6
 
@@ -180,7 +182,8 @@ class StandardBasis:
     def __init__(self, gens: Tuple[Polynomial, ...], ring: Ring, *, _stair=None):
         self.gens = gens
         self.ring = ring
-        self._stair = _staircase([g.lm() for g in gens]) if _stair is None else _stair
+        self._stair = (_staircase([ring.record(g.keys[0]) for g in gens], ring.nvars)
+                       if _stair is None else _stair)
 
     @property
     def corner(self) -> Optional[int]:
@@ -234,18 +237,17 @@ def spoly(f: Polynomial, g: Polynomial, corner: Optional[int] = None) -> Polynom
 
 
 def _reducer(g: Polynomial) -> tuple:
-    """The reducer record (lm, ecart, g, e) of a nonzero g, which `_reduce`
-    reads: e is the exponent record of the leading monomial, and lm its
-    exponent tuple, decoded once for the staircase sweep."""
-    ring, k = g.ring, g.keys[0]
-    return ring.mono(k), g.ecart(), g, ring.record(k)
+    """The reducer record (ecart, g, e) of a nonzero g, which `_reduce`
+    reads: e is the exponent record of the leading monomial, which the
+    divisibility test and the staircase sweep read."""
+    return g.ecart(), g, g.ring.record(g.keys[0])
 
 
 def _reduce(seed: Sequence[Tuple[Polynomial, int, int]], reducers: Sequence[tuple],
             budget: _Budget, corner: Optional[int] = None) -> Polynomial:
     """Normal form of the sum of the multiples c*m*g in seed, each given
-    as (g, c, key(m)), against the reducer records (lm, ecart, g, e): the
-    one reduction loop of the engine.
+    as (g, c, key(m)), against the reducer records (ecart, g, e): the one
+    reduction loop of the engine.
 
     Each step cancels the leading term of the working polynomial h against
     the reducer of least ecart whose leading monomial divides it, ties
@@ -275,10 +277,10 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, int]], reducers: Sequence[tupl
     monomial is built: a step costs O(|g| log |h|), not the O(|h| + |g|)
     of a merge, plus an O(|h|) scan for h's ecart when the reducer's ecart
     is positive.  A joining h is recorded with a sorted Polynomial
-    snapshot and the record of its leading monomial; the lm slot, read by
-    nobody, is left None, so nothing is decoded, and neither is the
-    remainder.  The dict knows |h|, so `_Budget.step` charges exactly what
-    a merge of h and g is charged (module docstring).
+    snapshot and the record of its leading monomial, so nothing is
+    decoded, and neither is the remainder.  The dict knows |h|, so
+    `_Budget.step` charges exactly what a merge of h and g is charged
+    (module docstring).
     """
     ring = seed[0][0].ring
     p, guards = ring.p, ring.guards
@@ -318,20 +320,20 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, int]], reducers: Sequence[tupl
         guarded = e | guards  # for the guard test of Ring.record_divides, inlined
         best = None
         for r in reducers:
-            if (best is None or r[1] < best[1]) and (guarded - r[3]) & guards == guards:
+            if (best is None or r[0] < best[0]) and (guarded - r[2]) & guards == guards:
                 best = r
-                if r[1] == 0:
+                if r[0] == 0:
                     break  # nothing later can win
         if best is None:
             if not is_global:
                 break
             remainder[lead] = h.pop(lead)
             continue
-        _, ec, g, _ = best
+        ec, g, _ = best
         if ec:
             eh = ring.deg(min(h)) - ring.deg(lead)
             if ec > eh:
-                reducers.append((None, eh, _from_keyed(ring, h), e))
+                reducers.append((eh, _from_keyed(ring, h), e))
         budget.step(len(h), len(g.keys))
         del h[lead]  # the multiple's leading term cancels it
         c = p - lc * inv_mod(g.coeffs[0], p) % p  # minus the multiple's coefficient
@@ -362,48 +364,50 @@ def _prepare(gens: Sequence[Polynomial]) -> List[Polynomial]:
     return sorted(unique.values(), key=lambda g: g.keys[0], reverse=True)
 
 
-def _staircase(lms: Sequence[Mono]) -> tuple:
-    """The staircase record (count, corner) of the ideal that lms generate:
-    the number of monomials outside it, and the least D such that all of
-    degree D lie inside (one more than the largest degree outside).  (0, 0)
-    for the unit ideal; (INFINITE, None) when some variable has no pure
-    power among lms (or lms is empty), so that infinitely many lie outside.
+def _staircase(records: Sequence[int], n: int) -> tuple:
+    """The staircase record (count, corner) of the ideal that the monomials
+    of the exponent records generate, in n variables: the number of
+    monomials outside it, and the least D such that all of degree D lie
+    inside (one more than the largest degree outside).  (0, 0) for the
+    unit ideal; (INFINITE, None) when some variable has no pure power among
+    them (or there are none), so that infinitely many lie outside.
 
-    The sweep cuts the monomials outside into slabs of the last exponent.
-    For consecutive values b < b' of it among the generators, u*x_n^e with
-    b <= e < b' lies outside just when u lies outside the slice: the ideal
-    of the other exponents of the generators whose last one is <= b.  A
-    slab adds (b' - b) * count(slice) to the count and b' - 1 +
-    corner(slice) to the candidates for the corner.  The slabs end at the
-    pure power of x_n, the first generator whose other exponents are 0,
-    that is, whose first nonzero exponent (carried with it) is the last;
-    one variable gives (a, a) for the least exponent a.  Slices wait on a
-    worklist, not on the call stack, which one frame per variable would
-    overflow.
+    The sweep cuts the monomials outside into slabs of the last exponent,
+    the top field of the records.  For consecutive values b < b' of it
+    among the generators, u*x_n^e with b <= e < b' lies outside just when
+    u lies outside the slice: the ideal of the other exponents of the
+    generators whose last one is <= b, their records with the top field
+    masked off.  A slab adds (b' - b) * count(slice) to the count and
+    b' - 1 + corner(slice) to the candidates for the corner.  The slabs end
+    at the pure power of x_n, the first generator whose record is 0 below
+    the top field; one variable gives (a, a) for the least exponent a.
+    Slices wait on a worklist, not on the call stack, which one frame per
+    variable would overflow.
     """
-    if not lms:
-        return INFINITE, None
-    n = len(lms[0])
-    # pure powers of x_i, and the unit monomial, which counts for every x_i
-    if len({i for m in lms for d in [mono_deg(m)] for i, e in enumerate(m) if e == d}) < n:
+    if 0 in records:
+        return 0, 0  # the unit ideal
+    # x_i^a has the record a << 32i: its top field i is its only nonzero one
+    if len({i for e in records for i in [(e.bit_length() - 1) // _WIDTH]
+            if not e & ((1 << _WIDTH * i) - 1)}) < n:
         return INFINITE, None
     count = corner = 0
-    work = [([(next((i for i, e in enumerate(m) if e), n), m) for m in lms], n, 1, 0)]
+    work = [(sorted(records), n, 1, 0)]
     while work:
         gens, k, width, offset = work.pop()
         if k == 1:
-            a = min(m[0] for _, m in gens)
+            a = gens[0]  # the least exponent, the only field left
             count += width * a
             corner = max(corner, offset + a)
             continue
         k -= 1
-        gens.sort(key=lambda g: g[1][k])
+        low = (1 << _WIDTH * k) - 1  # the fields below the top one
         b = 0
-        for j, (first, m) in enumerate(gens):
-            if m[k] > b:
-                work.append((gens[:j], k, width * (m[k] - b), offset + m[k] - 1))
-                b = m[k]
-            if first >= k:
+        for j, e in enumerate(gens):  # sorted, so by the top field
+            top = e >> _WIDTH * k
+            if top > b:
+                work.append((sorted(g & low for g in gens[:j]), k, width * (top - b), offset + top - 1))
+                b = top
+            if not e & low:
                 break
     return count, corner
 
@@ -412,9 +416,9 @@ def _cut_at(g: Polynomial, corner: int) -> Polynomial:
     """A basis element modulo m^corner: its terms of lower degree, or its
     leading monomial alone when that has degree >= corner."""
     if g.ring.deg(g.keys[0]) >= corner:
-        return Polynomial(g.ring, None, g.keys[:1], [1])
+        return Polynomial(g.ring, g.keys[:1], [1])
     k = _kept_below(g.keys, g.ring, corner)
-    return Polynomial(g.ring, None, g.keys[:k], g.coeffs[:k])
+    return Polynomial(g.ring, g.keys[:k], g.coeffs[:k])
 
 
 def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -> StandardBasis:
@@ -454,7 +458,7 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     budget = _Budget(step_cap)
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
 
-    basis: List[tuple] = []  # reducer records (lm, ecart, g, e); `_cut_at` keeps each lm
+    basis: List[tuple] = []  # reducer records (ecart, g, e); `_cut_at` keeps each e
     corner = stair = None  # stair: the last sweep of the lms, which the returned basis takes over
     # (deg lcm, key of lcm, j, i, lcm) for the pair (i, j), i < j; the
     # lcms are exponent records
@@ -467,17 +471,17 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
             g = _cut_at(g, corner)
         basis.append(_reducer(g))
         if not is_global:
-            stair = _staircase([r[0] for r in basis])
+            stair = _staircase([r[2] for r in basis], ring.nvars)
             if stair[1] is not None and (corner is None or stair[1] < corner):
                 corner = stair[1]
-                basis[:] = [_reducer(_cut_at(r[2], corner)) for r in basis]
-        k, ek = len(basis) - 1, basis[-1][3]
-        lcms = [ring.record_lcm(r[3], ek) for r in basis[:k]]
+                basis[:] = [_reducer(_cut_at(r[1], corner)) for r in basis]
+        k, ek = len(basis) - 1, basis[-1][2]
+        lcms = [ring.record_lcm(r[2], ek) for r in basis[:k]]
         # F: one new pair per lcm, a coprime one if there is one (the
         # product criterion then skips it), else the first.
         kept = {}
         for i, lcm in enumerate(lcms):
-            if lcm not in kept or (is_global and lcm == basis[i][3] + ek):
+            if lcm not in kept or (is_global and lcm == basis[i][2] + ek):
                 kept[lcm] = i
         # M: no new pair whose lcm is a proper multiple of another's.  By
         # increasing degree, it suffices to test the lcms kept so far.
@@ -496,9 +500,9 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
             break  # queued before the corner fell, and so is everything left
         # B: (i, j) is a chain through a later k when LM(k) | lcm(i, j) and
         # both lcm(i, k) and lcm(j, k) are proper divisors of lcm(i, j).
-        (_, _, gi, ei), (_, _, gj, ej) = basis[i], basis[j]
+        (_, gi, ei), (_, gj, ej) = basis[i], basis[j]
         if any(ring.record_divides(e, lcm) and ring.record_lcm(ei, e) != lcm != ring.record_lcm(ej, e)
-               for _, _, _, e in basis[j + 1:]):
+               for _, _, e in basis[j + 1:]):
             continue  # costs nothing
         budget.spend()
         if is_global and lcm == ei + ej:
@@ -524,18 +528,18 @@ def _minimal(items: Sequence, ring: Ring, record=lambda e: e) -> list:
 def _minimalize(basis: List[tuple], ring: Ring, budget: _Budget, stair) -> StandardBasis:
     # Drop the records whose leading monomial is divisible by another's;
     # the remaining leading terms still generate the leading ideal.
-    kept = _minimal(sorted(basis, key=lambda r: (ring.deg(r[2].keys[0]), r[2].keys[0])),
-                    ring, lambda r: r[3])
+    kept = _minimal(sorted(basis, key=lambda r: (ring.deg(r[1].keys[0]), r[1].keys[0])),
+                    ring, lambda r: r[2])
     if ring.ordering == OrderingTag.GLOBAL_DEGREVLEX:
         # Tail-reduce to the unique reduced Groebner basis.  The basis is
         # minimal, so no leading monomial changes, and a remainder free of
         # them stays free when the others are reduced: one pass suffices.
         for i in range(len(kept)):  # key(1) = 0
-            kept[i] = _reducer(_reduce(((kept[i][2], 1, 0),), kept[:i] + kept[i + 1:], budget).monic())
-    kept.sort(key=lambda r: r[2].keys[0], reverse=True)
+            kept[i] = _reducer(_reduce(((kept[i][1], 1, 0),), kept[:i] + kept[i + 1:], budget).monic())
+    kept.sort(key=lambda r: r[1].keys[0], reverse=True)
     # The leading ideal is that of the completion, so its last sweep is the
     # basis's staircase; under the global ordering stair is None and it sweeps.
-    return StandardBasis(tuple(r[2] for r in kept), ring, _stair=stair)
+    return StandardBasis(tuple(r[1] for r in kept), ring, _stair=stair)
 
 
 def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None) -> bool:
@@ -550,9 +554,9 @@ def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None)
     gets a fresh budget of step_cap: the cap bounds each pair's reduction,
     where `complete_basis`'s cap bounds the whole completion.
     """
-    corner = (None if basis.ordering == OrderingTag.GLOBAL_DEGREVLEX
-              else _staircase(basis.leading_monomials())[1])
     reducers = [_reducer(g) for g in basis.gens]
+    corner = (None if basis.ordering == OrderingTag.GLOBAL_DEGREVLEX
+              else _staircase([r[2] for r in reducers], basis.ring.nvars)[1])
     for f, g in itertools.combinations(basis.gens, 2):
         if not _reduce(_pair(f, g), reducers, _Budget(step_cap), corner).is_zero:
             return False
@@ -562,7 +566,7 @@ def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None)
 def leading_ideal(basis: StandardBasis) -> Tuple[Mono, ...]:
     """Minimal generating set of the leading term ideal."""
     ring = basis.ring
-    return tuple(_minimal(sorted(set(basis.leading_monomials()), key=mono_deg), ring,
+    return tuple(_minimal(sorted(set(basis.leading_monomials()), key=sum), ring,
                           lambda m: ring.record(ring.key(m))))
 
 

@@ -24,11 +24,10 @@ variable's exponent reaches MAX_EXPONENT.
 from __future__ import annotations
 
 import re
-from operator import add
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Tuple
 
 from .errors import UsageError
-from .poly import _NAME, MAX_EXPONENT, Mono, Polynomial, Ring, product_terms
+from .poly import _NAME, MAX_EXPONENT, Polynomial, Ring, _from_keyed, _lcm, product_terms
 
 #: Deepest accepted nesting of parenthesised groups.
 MAX_DEPTH = 100
@@ -47,13 +46,6 @@ class ParseError(UsageError):
         self.position = position
         self.message = message
         super().__init__(f"parse error at position {position}: {message}")
-
-
-def _degrees(terms: Dict[Mono, int], p: int) -> Optional[List[int]]:
-    """The degree of terms in each variable, over the coefficients that are
-    nonzero mod p; None when every coefficient is."""
-    live = [m for m, c in terms.items() if c % p]
-    return [max(e) for e in zip(*live)] if live else None
 
 
 class _Parser:
@@ -82,32 +74,28 @@ class _Parser:
             value = (value * pow(10, len(chunk), p) + int(chunk)) % p
         return value
 
-    # Terms are carried around as {monomial: coeff} dicts and only packed
-    # into a Polynomial at the very end.
+    # Terms are carried around as {key: coeff} dicts over packed monomial
+    # keys (`Ring.key`), and only packed into a Polynomial at the very end.
 
-    def expr(self) -> Dict[Mono, int]:
+    def expr(self) -> Dict[int, int]:
         acc = self.term()
         while self.tok == "+" or self.tok == "-":
             sign = 1 if self.tok == "+" else -1
             self._next()
-            for m, c in self.term().items():
-                acc[m] = acc.get(m, 0) + sign * c
+            for k, c in self.term().items():
+                acc[k] = acc.get(k, 0) + sign * c
         return acc
 
-    def _product(self, a: Dict[Mono, int], b: Dict[Mono, int], at: int) -> Dict[Mono, int]:
+    def _product(self, a: Dict[int, int], b: Dict[int, int], at: int) -> Dict[int, int]:
         self.work += len(a) * len(b)
         if self.work > MAX_PRODUCT_WORK:
             raise ParseError(at, f"expansion too large: products exceed {MAX_PRODUCT_WORK} term pairs")
-        p = self.ring.p
-        da, db = _degrees(a, p), _degrees(b, p)
-        if da and db:
-            # A product's degree in each variable is the sum of its factors'.
-            top = max(map(add, da, db))
-            if top >= MAX_EXPONENT:
-                raise ParseError(at, f"exponent overflow: {top} >= {MAX_EXPONENT}")
-        return product_terms(a.items(), b.items(), p)
+        try:
+            return product_terms(self.ring, a, b)
+        except UsageError as exc:  # an exponent overflow
+            raise ParseError(at, str(exc)) from None
 
-    def term(self) -> Dict[Mono, int]:
+    def term(self) -> Dict[int, int]:
         acc = self.factor()
         while self.tok == "*":
             at = self.pos
@@ -131,11 +119,11 @@ class _Parser:
         self._next()
         return epos, e
 
-    def _power(self, base: Dict[Mono, int], e: int, at: int) -> Dict[Mono, int]:
-        degs = _degrees(base, self.ring.p)
-        top = max(degs) if degs else 0
-        if top == 0:  # a constant
-            return {m: pow(c, e, self.ring.p) for m, c in base.items()}
+    def _power(self, base: Dict[int, int], e: int, at: int) -> Dict[int, int]:
+        lcm = _lcm(self.ring, base)
+        if not lcm:  # a constant
+            return {k: pow(c, e, self.ring.p) for k, c in base.items()}
+        top = max(self.ring.mono(-lcm))  # the largest exponent; -lcm is a key of record lcm
         if top * e >= MAX_EXPONENT:
             raise ParseError(at, f"exponent overflow: {top * e} >= {MAX_EXPONENT}")
         acc = base
@@ -143,10 +131,10 @@ class _Parser:
             acc = self._product(acc, base, at)
         return acc
 
-    def factor(self) -> Dict[Mono, int]:
+    def factor(self) -> Dict[int, int]:
         ch, at, kind = self.tok, self.pos, self.kind
         if kind == "int":
-            return {(0,) * self.ring.nvars: self._integer()}
+            return {0: self._integer()}  # key(1) = 0
         if ch == "(":
             if self.depth == MAX_DEPTH:
                 raise ParseError(at, f"parentheses nested deeper than {MAX_DEPTH}")
@@ -171,9 +159,7 @@ class _Parser:
             epos, e = self._exponent()
             if e >= MAX_EXPONENT:
                 raise ParseError(epos, f"exponent overflow: {e} >= {MAX_EXPONENT}")
-            exps = [0] * self.ring.nvars
-            exps[idx] = e
-            return {tuple(exps): 1}
+            return {e * self.ring.weights[idx]: 1}  # the key of x_idx^e
         raise ParseError(at, f"unexpected character {ch!r}" if ch else "unexpected end of input")
 
 
@@ -189,4 +175,5 @@ def parse_poly(src: str, ring: Ring) -> Polynomial:
     acc = parser.expr()
     if parser.tok:
         raise ParseError(parser.pos, f"unexpected trailing input {src[parser.pos:]!r}")
-    return ring.poly(acc)
+    p = ring.p
+    return _from_keyed(ring, {k: c % p for k, c in acc.items() if c % p})

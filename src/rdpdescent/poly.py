@@ -26,11 +26,11 @@ ordering key and its exponent record.  In n variables,
     key(m) = +-deg(m) * 2^(32n) - (e_1 + e_2 * 2^32 + ... + e_n * 2^(32(n-1))),
 
 with + under the global ordering and - under the local one.  The
-subtracted sum is the exponent record E(m): n fields of 32 bits, e_1 at
-the bottom.  It lies in [0, 2^(32n)), so integer order compares the
-(signed) degree first; with the degree fixed, a smaller e_n gives a
-larger key, and with that fixed a smaller e_(n-1), and so on: the reverse
-lexicographic tie-break.  The key is a linear form, key(m) = w . m, so
+subtracted sum is the exponent record E(m): n fields of 32 bits
+(_WIDTH), e_1 at the bottom.  It lies in [0, 2^(32n)), so integer order
+compares the (signed) degree first; with the degree fixed, a smaller e_n
+gives a larger key, and with that fixed a smaller e_(n-1), and so on: the
+reverse lexicographic tie-break.  The key is a linear form, key(m) = w . m, so
 key(a*b) = key(a) + key(b) and key(m^q) = q * key(m).
 
 The exponents read back off the key.  The record is
@@ -48,13 +48,17 @@ guards select the larger field of two records, which gives the lcm
 So the reduction loop and the pair bookkeeping of `gbasis` multiply,
 divide and take lcms on ints and build no exponent tuple.
 
-A Polynomial that the engine builds carries only keys and coefficients:
-`terms` is decoded from the keys the first time a reader asks for it,
-and kept.  Equality, hashing, `is_zero`, `lm`, `lc`, the degrees, sums,
-scaling, `term_mul` and `frobenius` read the keys and decode no whole
-polynomial; general products, `partial`, `rename` and `render` read the
-terms.  Addition and subtraction sum the terms in a dict keyed by the
-keys, as the reduction loop of `gbasis` sums its working polynomial, and
+A Polynomial carries only keys and coefficients, from the parser to the
+engine: `terms` is decoded from the keys the first time a reader asks
+for it, and kept.  Of its readers only `terms`, `lm`, `rename` and
+`render` decode keys; `Ring.poly`, `coeff` and `term_mul` encode the
+exponent tuples they are given, and the rest reads keys.  The parser carries {key: coefficient}
+dicts, and `product_terms`, the one product of the parser and of
+`Polynomial.__mul__`, adds keys and reads its exponent bound off the
+lcms of its factors; `partial` shifts the keys it keeps, as division by
+a variable keeps the term order.  Addition and subtraction sum the
+terms in a dict keyed by the keys, as the reduction loop of `gbasis`
+sums its working polynomial, and
 `_from_keyed`, the one builder from such a dict, sorts it back into a
 Polynomial; `term_mul` shifts the keys by one addition per term, `tail`
 and `gbasis._cut_at` slice them, and the reduction loop shifts the kept
@@ -70,14 +74,18 @@ from __future__ import annotations
 import enum
 import re
 import struct
-from operator import add, le, mul, sub
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import mul
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import UsageError
 
 Mono = Tuple[int, ...]
 
 MAX_EXPONENT = 1 << 16
+#: The bits of one exponent field of a packed key (module docstring), and
+#: the largest value a field holds.
+_WIDTH = 32
+_FIELD = (1 << _WIDTH) - 1
 
 _PRIMES = frozenset(q for q in range(2, 98) if all(q % d for d in range(2, q)))
 
@@ -103,34 +111,6 @@ class OrderingTag(enum.Enum):
 
 def mono_deg(m: Mono) -> int:
     return sum(m)
-
-
-def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(map(add, a, b))
-
-
-def mono_divides(a: Mono, b: Mono) -> bool:
-    return all(map(le, a, b))
-
-
-def mono_quot(a: Mono, b: Mono) -> Mono:
-    """a / b, assuming b divides a."""
-    return tuple(map(sub, a, b))
-
-
-def mono_lcm(a: Mono, b: Mono) -> Mono:
-    return tuple(map(max, a, b))
-
-
-def product_terms(a: Iterable[Tuple[Mono, int]], b: Collection[Tuple[Mono, int]],
-                  p: int) -> Dict[Mono, int]:
-    """The product of two term lists as {monomial: residue mod p}, zeros kept."""
-    acc: Dict[Mono, int] = {}
-    for ma, ca in a:
-        for mb, cb in b:
-            m = mono_mul(ma, mb)
-            acc[m] = (acc.get(m, 0) + ca * cb) % p
-    return acc
 
 
 #: A variable name: an ASCII letter or '_', then ASCII letters, digits and
@@ -163,12 +143,12 @@ class Ring:
         # The packed key (module docstring): the degree field at bit
         # shift = 32n, signed by the ordering, minus the exponent record.
         n = len(names)
-        self.shift = 32 * n
+        self.shift = _WIDTH * n
         self.top = -1 << self.shift if ordering is OrderingTag.LOCAL_NEG_DEGREVLEX else 1 << self.shift
-        self.weights = tuple(self.top - (1 << (32 * i)) for i in range(n))
+        self.weights = tuple(self.top - (1 << (_WIDTH * i)) for i in range(n))
         self.mask = (1 << self.shift) - 1
-        self.guards = sum(1 << (32 * i + 16) for i in range(n))
-        self._unpack = struct.Struct(f"<{n}I").unpack
+        self.guards = sum(1 << (_WIDTH * i + 16) for i in range(n))
+        self._unpack = struct.Struct(f"<{n}I").unpack  # I: an unsigned field of _WIDTH bits
 
     def key(self, m: Mono) -> int:
         """The packed ordering key of a monomial (module docstring)."""
@@ -190,7 +170,7 @@ class Ring:
     def record_deg(e: int) -> int:
         """The degree of an exponent record: 2^32 is 1 modulo 2^32 - 1, and
         no degree reaches 2^32 - 1."""
-        return e % 0xFFFFFFFF
+        return e % _FIELD
 
     def record_key(self, e: int) -> int:
         """The key of an exponent record."""
@@ -219,7 +199,7 @@ class Ring:
         return Ring(self.p, self.names, ordering)
 
     def zero(self) -> "Polynomial":
-        return Polynomial(self, (), [], [])
+        return Polynomial(self, [], [])
 
     def one(self) -> "Polynomial":
         return self.constant(1)
@@ -228,7 +208,7 @@ class Ring:
         c %= self.p
         if c == 0:
             return self.zero()
-        return Polynomial(self, None, [0], [c])  # key(1) = 0
+        return Polynomial(self, [0], [c])  # key(1) = 0
 
     def poly(self, terms: Dict[Mono, int]) -> "Polynomial":
         if not isinstance(terms, dict):
@@ -274,6 +254,34 @@ def _check_product(ring: Ring, keys: Sequence[int], stop: int, shift: int) -> No
             raise UsageError(f"exponent overflow: {e} >= {MAX_EXPONENT}")
 
 
+def _lcm(ring: Ring, terms: Dict[int, int]) -> int:
+    """The lcm of the monomials of a {key: coefficient} dict as an exponent
+    record, over the coefficients that are nonzero mod p; 0 for none."""
+    lcm, p = 0, ring.p
+    for k, c in terms.items():
+        if c % p:
+            lcm = ring.record_lcm(lcm, ring.record(k))
+    return lcm
+
+
+def product_terms(ring: Ring, a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """The product of two {key: coefficient} dicts as {key: residue mod p},
+    zeros kept: the key is additive.  Its exponents in each variable are
+    the sums of the factors' largest ones over the terms nonzero mod p,
+    as the top terms in a variable multiply to a nonzero term: the fields
+    of the sum of the factors' lcms.  They are below 2^17, so none
+    carries, and one reaches MAX_EXPONENT just when its guard bit is set."""
+    e = _lcm(ring, a) + _lcm(ring, b)
+    if e & ring.guards:  # -e is a key whose record is e
+        raise UsageError(f"exponent overflow: {max(ring.mono(-e))} >= {MAX_EXPONENT}")
+    p, acc = ring.p, {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            acc[k] = (acc.get(k, 0) + ca * cb) % p
+    return acc
+
+
 def _from_dict(ring: Ring, d: Dict[Mono, int]) -> "Polynomial":
     p = ring.p
     acc = {}
@@ -288,7 +296,7 @@ def _from_keyed(ring: Ring, acc: Dict[int, int]) -> "Polynomial":
     """The polynomial of a {key: coefficient} dict whose coefficients are
     nonzero residues: the one builder from a keyed dict."""
     keys = sorted(acc, reverse=True)
-    return Polynomial(ring, None, keys, list(map(acc.__getitem__, keys)))
+    return Polynomial(ring, keys, list(map(acc.__getitem__, keys)))
 
 
 class Polynomial:
@@ -296,19 +304,16 @@ class Polynomial:
 
     Construct through Ring.poly / Ring.constant / parse_poly rather than
     directly: the keys are trusted to be canonical and the coefficients
-    to match them.  Given terms are trusted to match the keys as well
-    (keys[i] is ring.key(terms[i][0])) and give the coefficients; terms
-    None are decoded from the keys when first read.
+    to match them.  The terms are decoded from the keys when first read.
     """
 
     __slots__ = ("ring", "keys", "coeffs", "_terms")
 
-    def __init__(self, ring: Ring, terms: Optional[Tuple[Tuple[Mono, int], ...]], keys: List[int],
-                 coeffs: Optional[List[int]] = None):
+    def __init__(self, ring: Ring, keys: List[int], coeffs: List[int]):
         self.ring = ring
         self.keys = keys
-        self.coeffs = [c for _, c in terms] if coeffs is None else coeffs
-        self._terms = terms
+        self.coeffs = coeffs
+        self._terms = None
 
     @property
     def terms(self) -> Tuple[Tuple[Mono, int], ...]:
@@ -334,7 +339,7 @@ class Polynomial:
         return self.coeffs[0]
 
     def tail(self) -> "Polynomial":
-        return Polynomial(self.ring, None, self.keys[1:], self.coeffs[1:])
+        return Polynomial(self.ring, self.keys[1:], self.coeffs[1:])
 
     # Both orderings compare the total degree first, so the terms run by
     # decreasing degree (global) or increasing degree (local), and the
@@ -366,10 +371,9 @@ class Polynomial:
         return self.coeffs[i] if self.keys[i] == 0 else 0
 
     def coeff(self, m: Mono) -> int:
-        for mm, c in self.terms:
-            if mm == m:
-                return c
-        return 0
+        """The coefficient of the monomial m, checked as in `term_mul`."""
+        k = self.ring.key(_check_mono(self.ring, m))
+        return self.coeffs[self.keys.index(k)] if k in self.keys else 0
 
     def _check_ring(self, other: "Polynomial"):
         if not isinstance(other, Polynomial):
@@ -406,7 +410,7 @@ class Polynomial:
         if c == 1:
             return self
         p = self.ring.p
-        return Polynomial(self.ring, None, self.keys, [cc * c % p for cc in self.coeffs])
+        return Polynomial(self.ring, self.keys, [cc * c % p for cc in self.coeffs])
 
     def term_mul(self, c: int, m: Mono) -> "Polynomial":
         """Multiply by the single term c*m; preserves term order because the
@@ -419,16 +423,16 @@ class Polynomial:
         shift = self.ring.key(_check_mono(self.ring, m))  # the key is additive
         _check_product(self.ring, self.keys, len(self.keys), shift)
         p = self.ring.p
-        return Polynomial(self.ring, None, [k + shift for k in self.keys],
+        return Polynomial(self.ring, [k + shift for k in self.keys],
                           [cc * c % p for cc in self.coeffs])
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, int):
             return self.scale(other)
         self._check_ring(other)
-        if len(other.keys) == 1:
-            return self.term_mul(other.coeffs[0], other.lm())
-        return _from_dict(self.ring, product_terms(self.terms, other.terms, self.ring.p))
+        acc = product_terms(self.ring, dict(zip(self.keys, self.coeffs)),
+                            dict(zip(other.keys, other.coeffs)))
+        return _from_keyed(self.ring, {k: c for k, c in acc.items() if c})
 
     __rmul__ = __mul__
 
@@ -461,18 +465,16 @@ class Polynomial:
         """Formal partial derivative with respect to the var-th variable."""
         if not 0 <= var < self.ring.nvars:
             raise UsageError(f"variable index {var} out of range")
-        p = self.ring.p
-        acc: Dict[Mono, int] = {}
-        for m, c in self.terms:
-            e = m[var]
-            if e == 0:
-                continue
-            cc = (c * e) % p
-            if cc == 0:
-                continue
-            mm = m[:var] + (e - 1,) + m[var + 1:]
-            acc[mm] = (acc.get(mm, 0) + cc) % p
-        return _from_dict(self.ring, acc)
+        ring = self.ring
+        p, at, w = ring.p, _WIDTH * var, ring.weights[var]
+        keys, coeffs = [], []
+        for k, c in zip(self.keys, self.coeffs):
+            c = c * ((-k >> at) & _FIELD) % p  # times the exponent of the variable
+            if c:  # so the exponent is positive, and the key of m / x_var is k - w
+                keys.append(k - w)
+                coeffs.append(c)
+        # dividing by x_var keeps the term order, so the keys stay sorted
+        return Polynomial(ring, keys, coeffs)
 
     def frobenius(self, e: int = 1) -> "Polynomial":
         """Return self**(p**e), computed term-wise.
@@ -483,13 +485,18 @@ class Polynomial:
         """
         if e < 1:
             raise UsageError("frobenius exponent must be >= 1")
-        q = self.ring.p ** e
-        if q * max(self.degree(), 0) >= MAX_EXPONENT:  # the degree bounds every exponent
+        if self.degree() < 1:
+            return self  # c^p = c for a residue c
+        p = self.ring.p
+        # p^16 >= MAX_EXPONENT, so p^e is formed only below that
+        q = p ** e if e < 16 else MAX_EXPONENT
+        if q * self.degree() >= MAX_EXPONENT:  # the degree bounds every exponent
             for m, _ in self.terms:
                 for x in m:
                     if x * q >= MAX_EXPONENT:
-                        raise UsageError(f"exponent overflow: {x * q} >= {MAX_EXPONENT}")
-        return Polynomial(self.ring, None, [k * q for k in self.keys], self.coeffs)
+                        shown = x * q if e < 16 else f"{x} * {p}^{e}"
+                        raise UsageError(f"exponent overflow: {shown} >= {MAX_EXPONENT}")
+        return Polynomial(self.ring, [k * q for k in self.keys], self.coeffs)
 
     def rename(self, perm: Sequence[int]) -> "Polynomial":
         """Relabel variables: old variable i becomes variable perm[i]."""

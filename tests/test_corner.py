@@ -16,24 +16,36 @@ from rdpdescent.catalog import table_records
 from rdpdescent.gbasis import INFINITE, _staircase, spoly
 from rdpdescent.ideals import (HypersurfaceGerm, bracket_ideal, jacobian_ideal,
                                local_length)
+from rdpdescent.poly import _WIDTH
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
 
+def records(lms):
+    """The exponent records of exponent tuples: e_i in field i."""
+    return [sum(e << _WIDTH * i for i, e in enumerate(m)) for m in lms]
+
+
+def staircase(lms, n=None):
+    """`_staircase` of the monomials of exponent tuples, in n variables,
+    by default their length."""
+    return _staircase(records(lms), len(lms[0]) if n is None else n)
+
+
 def test_corner_degree_examples():
-    assert _staircase([(2, 0), (0, 3)])[1] == 4       # x*y^2 is the top standard monomial
-    assert _staircase([(2, 0), (1, 1)])[1] is None    # no pure power of y
-    assert _staircase([(0, 0, 0), (1, 0, 0)])[1] == 0  # the unit ideal
-    assert _staircase([(5,)])[1] == 5
-    assert _staircase([(1, 0, 0), (0, 1, 0), (0, 0, 93)])[1] == 93
+    assert staircase([(2, 0), (0, 3)])[1] == 4       # x*y^2 is the top standard monomial
+    assert staircase([(2, 0), (1, 1)])[1] is None    # no pure power of y
+    assert staircase([(0, 0, 0), (1, 0, 0)])[1] == 0  # the unit ideal
+    assert staircase([(5,)])[1] == 5
+    assert staircase([(1, 0, 0), (0, 1, 0), (0, 0, 93)])[1] == 93
 
 
 
 def test_staircase_record_is_count_and_corner():
-    assert _staircase([(0, 0), (1, 0)]) == (0, 0)            # the unit ideal
-    assert _staircase([(2, 0), (1, 1)]) == (INFINITE, None)  # no pure power of y
-    assert _staircase([]) == (INFINITE, None)
-    assert _staircase([(2, 0), (0, 3)]) == (6, 4)            # 1, y, y^2, x, xy, xy^2
+    assert staircase([(0, 0), (1, 0)]) == (0, 0)            # the unit ideal
+    assert staircase([(2, 0), (1, 1)]) == (INFINITE, None)  # no pure power of y
+    assert staircase([], 2) == (INFINITE, None)
+    assert staircase([(2, 0), (0, 3)]) == (6, 4)            # 1, y, y^2, x, xy, xy^2
     empty = StandardBasis((), Ring(2, ("x", "y"), LOCAL))
     assert empty.corner is None
     assert not is_dimension_zero(empty)
@@ -53,14 +65,14 @@ def test_staircase_of_pure_powers_has_the_closed_form():
         a = [rng.randint(1, 4) for _ in range(n)]
         lms = pure_powers(a)
         rng.shuffle(lms)
-        assert _staircase(lms) == (math.prod(a), sum(a) - n + 1), a
+        assert staircase(lms) == (math.prod(a), sum(a) - n + 1), a
 
 
 def test_staircase_takes_no_frame_per_variable():
     # far more variables than the interpreter's recursion limit allows frames
     n = 1100
-    assert _staircase(pure_powers([2] * n)) == (2 ** n, n + 1)
-    assert _staircase(pure_powers([1] * n)) == (1, 1)
+    assert staircase(pure_powers([2] * n)) == (2 ** n, n + 1)
+    assert staircase(pure_powers([1] * n)) == (1, 1)
 
 
 def test_global_and_positive_dimensional_bases_have_no_corner():
@@ -188,8 +200,8 @@ def sweeps(monkeypatch):
     log = {"stairs": [], "before_minimalize": []}
     sweep, minimalize = gbasis._staircase, gbasis._minimalize
 
-    def logged_sweep(lms):
-        log["stairs"].append(sweep(lms))
+    def logged_sweep(records, n):
+        log["stairs"].append(sweep(records, n))
         return log["stairs"][-1]
 
     def marked_minimalize(*args):

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdpdescent import OrderingTag, Ring, StandardBasis, standard_monomial_count
-from rdpdescent.gbasis import INFINITE, _staircase
+from rdpdescent.gbasis import INFINITE
+from test_corner import staircase
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
@@ -92,7 +93,7 @@ def monomial_sets(draw):
 @settings(max_examples=300, deadline=None)
 @given(monomial_sets())
 def test_corner_degree_matches_brute_force(lms):
-    corner = _staircase(lms)[1]
+    corner = staircase(lms)[1]
     assert corner == brute_corner(lms)
     if corner is not None:
         # the same sweep counts the monomials outside the ideal
@@ -128,4 +129,5 @@ def staircase_inputs(draw):
 @settings(max_examples=400, deadline=None)
 @given(staircase_inputs())
 def test_staircase_matches_the_box_sweep(lms):
-    assert _staircase(lms) == box_staircase(lms)
+    n = len(lms[0]) if lms else 1
+    assert staircase(lms, n) == box_staircase(lms)

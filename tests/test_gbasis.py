@@ -16,10 +16,29 @@ from rdpdescent.errors import UsageError
 from rdpdescent.gbasis import _Budget, _reduce, _reducer
 from rdpdescent.ideals import (UNSTABLE, HypersurfaceGerm, IdealPresentation, bracket_ideal,
                                jacobian_ideal, truncation_contains, truncation_length_oracle)
-from rdpdescent.poly import inv_mod, mono_deg, mono_divides, mono_lcm, mono_mul, mono_quot
+from rdpdescent.poly import inv_mod, mono_deg
 
 GLOBAL = OrderingTag.GLOBAL_DEGREVLEX
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
+
+
+# Exponent-tuple monomial arithmetic, the reference for the packed keys.
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_quot(a, b):
+    """a / b, assuming b divides a."""
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
 
 
 def lring(p=2, names=("x", "y", "z")):
@@ -439,10 +458,11 @@ def test_pair_order_is_pinned(monkeypatch, make_gens, pairs, digest):
 @pytest.mark.parametrize("n, co, p", [(7, 1, 3), (8, 1, 5), (8, 2, 3)],
                          ids=["e7_1_bracket_p3_local", "e8_1_bracket_p5_local", "e8_2_bracket_p3_local"])
 def test_reducer_records_stay_fresh(monkeypatch, n, co, p):
-    # Every record (lm, ecart, g) that the completion hands to the
-    # reduction loop holds the lm and ecart of its g.  A corner's cut
-    # shortens the tails, so a record kept from before the cut would
-    # overstate its ecart and skew the reducer choice.
+    # Every record (ecart, g, e) that the completion hands to the
+    # reduction loop holds the ecart of its g and the exponent record of
+    # its leading monomial.  A corner's cut shortens the tails, so a record
+    # kept from before the cut would overstate its ecart and skew the
+    # reducer choice.
     records = []
     real_reduce = gbasis._reduce
 
@@ -453,7 +473,7 @@ def test_reducer_records_stay_fresh(monkeypatch, n, co, p):
     monkeypatch.setattr(gbasis, "_reduce", logged)
     germ = instantiate("E", n, co, p).germ()
     complete_basis(bracket_ideal(jacobian_ideal(germ), germ).local().gens)
-    stale = [r[0] for r in records if (r[0], r[1]) != (r[2].lm(), r[2].ecart())]
+    stale = [r for r in records if (r[0], r[2]) != (r[1].ecart(), r[1].ring.record(r[1].keys[0]))]
     assert records
     assert not stale, f"{len(stale)} of {len(records)} records are stale"
 

@@ -18,7 +18,8 @@ import pytest
 from rdpdescent import OrderingTag, Ring, UsageError, parse_poly
 from rdpdescent.errors import EngineLimitError
 from rdpdescent.gbasis import complete_basis, normal_form, spoly
-from rdpdescent.poly import MAX_EXPONENT, mono_deg, mono_divides, mono_lcm, render
+from rdpdescent.poly import MAX_EXPONENT, mono_deg, render
+from test_gbasis import mono_divides, mono_lcm
 from test_poly_keys import assert_keys_fresh, polynomial_pairs
 
 GLOBAL = OrderingTag.GLOBAL_DEGREVLEX
@@ -85,6 +86,18 @@ def test_term_mul_takes_only_a_monomial_of_the_ring():
         with pytest.raises(UsageError):
             f.term_mul(1, m)
     assert f.term_mul(2, (1, 0, 2)) == parse_poly("2*x^2*z^2+2*x*y*z^2", ring)
+
+
+def test_coeff_takes_only_a_monomial_of_the_ring():
+    # coeff looks up the key of its monomial, so it checks the monomial as
+    # term_mul does: the key of (0, 1) in x, y, z is the key of y.
+    ring = Ring(3, ("x", "y", "z"))
+    f = parse_poly("x+2*y", ring)
+    for m in ((0, 1), (1,), (0, 1, 0, 0), (-1, 0, 0), (0, 1.5, 0)):
+        with pytest.raises(UsageError):
+            f.coeff(m)
+    assert [f.coeff(m) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0))] == [1, 2, 0, 0]
+    assert f._terms is None
 
 
 # -- lazy terms --------------------------------------------------------------

@@ -160,6 +160,26 @@ def test_frobenius_composition():
     assert f.frobenius(1).frobenius(1) == f.frobenius(2)
 
 
+def test_frobenius_past_the_exponent_bound():
+    # p^e is formed only below p^16 >= 2^16: a constant is its own p-th
+    # power, and a nonconstant polynomial overflows without printing p^e.
+    r = Ring(3, ("x", "y", "z"), GLOBAL)
+    for c in (r.constant(2), r.zero()):
+        assert c.frobenius(10 ** 6) == c
+    f = parse_poly("x+y", r)
+    with pytest.raises(UsageError, match=r"^exponent overflow: 1 \* 3\^1000000 >= 65536$"):
+        f.frobenius(10 ** 6)
+    with pytest.raises(UsageError, match=r"^exponent overflow: 177147 >= 65536$"):
+        f.frobenius(11)
+    r2 = Ring(2, ("x",), GLOBAL)
+    x = parse_poly("x", r2)
+    assert x.frobenius(15).lm() == (32768,)
+    with pytest.raises(UsageError, match=r"^exponent overflow: 1 \* 2\^16 >= 65536$"):
+        x.frobenius(16)
+    with pytest.raises(UsageError, match=r"^exponent overflow: 65536 >= 65536$"):
+        (x * x).frobenius(15)
+
+
 # -- renaming --------------------------------------------------------------
 
 def test_rename_examples():

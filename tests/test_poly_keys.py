@@ -2,9 +2,11 @@
 
 The key is checked against the tuple keys it replaced, kept here as the
 reference: degree first (negated under the local ordering), then the
-reversed exponents negated.  The carried keys are checked against
-`ring.key` after every operation that passes them on instead of
-recomputing them.
+reversed exponents negated.  The carried keys are checked for the
+canonical order, strictly decreasing keys of monomials with nonzero
+residues, after every operation that passes them on instead of
+recomputing them; the terms are decoded from the keys, so they cannot
+disagree with them.
 """
 
 import itertools
@@ -16,8 +18,8 @@ from rdpdescent import OrderingTag, Ring
 from rdpdescent.errors import EngineLimitError
 from rdpdescent.gbasis import _Budget, _cut_at, complete_basis, spoly
 from rdpdescent.parse import parse_poly
-from rdpdescent.poly import MAX_EXPONENT, Polynomial, mono_mul
-from test_gbasis import reduce_poly
+from rdpdescent.poly import MAX_EXPONENT, Polynomial
+from test_gbasis import mono_mul, reduce_poly
 
 GLOBAL = OrderingTag.GLOBAL_DEGREVLEX
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
@@ -82,16 +84,19 @@ def test_packed_key_at_the_field_boundaries():
 # -- carried keys ----------------------------------------------------------
 
 def assert_keys_fresh(f: Polynomial, what: str):
-    expected = [f.ring.key(m) for m, _ in f.terms]
+    ring = f.ring
+    expected = sorted({ring.key(m) for m, _ in f.terms}, reverse=True)
     if list(f.keys) != expected:
-        raise AssertionError(f"{what}: carried keys {list(f.keys)}, fresh keys {expected}")
+        raise AssertionError(f"{what}: carried keys {list(f.keys)}, canonical keys {expected}")
+    if len(f.coeffs) != len(f.keys) or not all(0 < c < ring.p for c in f.coeffs):
+        raise AssertionError(f"{what}: coefficients {f.coeffs} for {len(f.keys)} keys")
 
 
 def test_a_stale_key_is_reported():
     ring = Ring(3, NAMES[:3], LOCAL)
     f = parse_poly("x^2+y^3+x*z^4", ring)
     assert_keys_fresh(f, "parse")
-    stale = Polynomial(ring, f.terms, f.keys[::-1])
+    stale = Polynomial(ring, f.keys[::-1], f.coeffs[::-1])
     try:
         assert_keys_fresh(stale, "reversed keys")
     except AssertionError as exc:

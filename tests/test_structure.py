@@ -82,3 +82,26 @@ def test_the_truncation_oracle_loads_nothing_from_the_engine():
         assert used == [], f"{name} loads {used} from gbasis"
         todo.extend(read & defined.keys())
     assert {"_oracle_run", "_OracleRun", "_Echelon"} <= reached
+
+
+def _decoding_reads(node, name, allowed):
+    """(function, attribute) for each read of .lm, .terms or .mono below
+    node, outside the functions named in allowed; name is node's own."""
+    for child in ast.iter_child_nodes(node):
+        inner = name
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{name}.{child.name}" if name else child.name
+            if inner in allowed:
+                continue
+        elif isinstance(child, ast.Attribute) and child.attr in ("lm", "terms", "mono"):
+            yield name, child.attr
+        yield from _decoding_reads(child, inner, allowed)
+
+
+def test_the_engine_decodes_monomials_only_where_it_returns_tuples():
+    # gbasis works on packed keys and exponent records; only the two
+    # readers that return exponent tuples decode a key.
+    tree = SOURCES["gbasis"]
+    allowed = {"StandardBasis.leading_monomials", "leading_ideal"}
+    assert set(_decoding_reads(tree, "", set())) >= {("StandardBasis.leading_monomials", "lm")}
+    assert sorted(set(_decoding_reads(tree, "", allowed))) == []
