@@ -48,6 +48,25 @@ not justify a skip: for the single generator x the row x*x is needed,
 although x is a pivot column after the row 1*x.  lambda_d, the pure-power
 check and membership read only the row space, so no answer depends on
 the skip; only the stored pivot rows differ.
+
+The working degree starts just above the generators' degrees and, while
+no stabilization is found, steps by x1.5 (at least +2), up to the degree
+cap and the column bound.  A run that fails also bounds the next step by
+its own pivots.  A pivot column is the lowest column of an element of
+I + m^D, so below D the pivot columns are exactly the leading monomials,
+under the column order, of the ideal I*O of the local ring: L(I) meets
+degree < D in the pivots, at every working degree.  Let P be the monomial
+ideal the pivots of a failed run at D generate, and c the first degree in
+which every monomial lies in P.  P lies in L(I), so in a run at c + 1
+every column of degree c is a pivot: lambda_c = lambda_{c+1}, and x_i^c
+lies in the row space for every i.  That run certifies (and by Nakayama,
+as for any certificate, m^c lies in I*O: Greuel-Pfister's highest
+corner).  So the next working degree is the smaller of the x1.5 step and
+c + 1.  c is found by sweeping the monomials outside P degree by degree
+from D - 1 (`_OracleRun.next_workdeg`), and if some x_i^(D-1) is no pivot,
+P holds no power of x_i and there is no c.  `stabilized_at` returns the
+first d with lambda_d = lambda_{d+1} whatever the working degree, so no
+certified value changes, and no working degree exceeds the x1.5 rule's.
 """
 
 from __future__ import annotations
@@ -384,6 +403,32 @@ class _OracleRun:
                 return True
         return False
 
+    def next_workdeg(self, step: int) -> int:
+        """The working degree to try after this run found no stabilization:
+        c + 1, where c < step - 1 is the first degree in which every
+        monomial is a multiple of a pivot column, or else step (module
+        docstring).  The monomials swept have degree < step < 2D, so their
+        exponents are digits and each key reads back as its monomial."""
+        pivots = self.ech.pivot_rows
+        weights = self.weights
+        top = self.workdeg - 1
+        # Pivots are closed upward below D: if x_i^(D-1) is none, no power
+        # of x_i is, and the ideal they generate has no highest corner.
+        if any(top * w not in pivots for w in weights):
+            return step
+        base = 2 * self.workdeg
+        places = [w - self.unit for w in weights]
+        # The monomials of degree d outside the ideal the pivots generate.
+        # That ideal has its generators below D, so from degree D on a
+        # monomial t lies outside it exactly when every t/x_j does.
+        layer = {k for k in self._keys_by_degree(top)[top] if k not in pivots}
+        for d in range(self.workdeg, step - 1):
+            layer = {t for t in {s + w for s in layer for w in weights}
+                     if all(t - w in layer for w, place in zip(weights, places) if t // place % base)}
+            if not layer:
+                return d + 1
+        return step
+
     def stabilized_at(self) -> Optional[int]:
         """Smallest d with lambda_d = lambda_{d+1} and a pure power of each
         variable confirmed inside the row space in degree at most d.
@@ -424,7 +469,7 @@ def _oracle_run(ideal: IdealPresentation, degree_cap: int) -> Tuple[object, Opti
             return run.quotient_dim(d), run
         if workdeg >= degree_cap:
             return UNSTABLE, None
-        workdeg = min(degree_cap, max(workdeg + 2, (workdeg * 3) // 2))
+        workdeg = run.next_workdeg(min(degree_cap, max(workdeg + 2, (workdeg * 3) // 2)))
 
 
 def truncation_length_oracle(ideal: IdealPresentation, degree_cap: int = DEFAULT_DEGREE_CAP):

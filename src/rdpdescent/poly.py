@@ -50,9 +50,9 @@ divide and take lcms on ints and build no exponent tuple.
 
 A Polynomial carries only keys and coefficients, from the parser to the
 engine: `terms` is decoded from the keys the first time a reader asks
-for it, and kept.  Of its readers only `terms`, `lm`, `rename` and
-`render` decode keys; `Ring.poly`, `coeff` and `term_mul` encode the
-exponent tuples they are given, and the rest reads keys.  The parser carries {key: coefficient}
+for it, and kept.  Of its readers only `terms`, `lm` and `render` decode
+keys; `Ring.poly`, `coeff` and `term_mul` encode the exponent tuples they
+are given, and the rest reads keys.  The parser carries {key: coefficient}
 dicts, and `product_terms`, the one product of the parser and of
 `Polynomial.__mul__`, adds keys and reads its exponent bound off the
 lcms of its factors; `partial` shifts the keys it keeps, as division by
@@ -338,9 +338,6 @@ class Polynomial:
             raise UsageError("zero polynomial has no leading coefficient")
         return self.coeffs[0]
 
-    def tail(self) -> "Polynomial":
-        return Polynomial(self.ring, self.keys[1:], self.coeffs[1:])
-
     # Both orderings compare the total degree first, so the terms run by
     # decreasing degree (global) or increasing degree (local), and the
     # extreme degrees sit at the two ends of the key list.
@@ -497,19 +494,6 @@ class Polynomial:
                         shown = x * q if e < 16 else f"{x} * {p}^{e}"
                         raise UsageError(f"exponent overflow: {shown} >= {MAX_EXPONENT}")
         return Polynomial(self.ring, [k * q for k in self.keys], self.coeffs)
-
-    def rename(self, perm: Sequence[int]) -> "Polynomial":
-        """Relabel variables: old variable i becomes variable perm[i]."""
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.ring.nvars)):
-            raise UsageError(f"{perm} is not a permutation of the variable indices")
-        acc = {}
-        for m, c in self.terms:
-            mm = [0] * len(m)
-            for i, e in enumerate(m):
-                mm[perm[i]] = e
-            acc[tuple(mm)] = c
-        return _from_dict(self.ring, acc)
 
     # -- hashing, equality, rendering --------------------------------------
     # Keys stand for monomials one to one, so these read them, not terms.

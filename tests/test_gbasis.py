@@ -518,7 +518,7 @@ def merge_reduce(f, gens, budget, corner=None):
             if not is_global:
                 break
             remainder[lm] = h.lc()
-            h = h.tail()
+            h = ring.poly(dict(h.terms[1:]))  # h without its leading term
             continue
         g, ec = best
         if ec > h.ecart():

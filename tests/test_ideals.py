@@ -306,9 +306,11 @@ def test_oracle_gives_up_at_its_column_bound(monkeypatch):
     # (x, y) in three variables never stabilizes; the working degree grows
     # until the monomials below it would exceed _MAX_COLUMNS, well before
     # the default degree cap of 64.
+    # z has no pure power among the pivots, so no run bounds the next
+    # working degree and the schedule is the x1.5 rule's.
     workdegs = log_oracle_runs(monkeypatch)
     assert truncation_length_oracle(ideal_of(["x", "y"])) is UNSTABLE
-    assert workdegs and max(workdegs) < DEFAULT_DEGREE_CAP
+    assert workdegs == [6, 9, 13, 19, 28]
 
 
 def test_oracle_membership():
@@ -609,12 +611,12 @@ def count_inserts(monkeypatch):
 
 
 def test_skipped_rows_catalog_counts(monkeypatch):
-    # Without the skip, the same calls insert 83,880 rows, 35,479 of which
+    # Without the skip, the same calls insert 55,611 rows, 21,484 of which
     # reduce to zero.
     counts = count_inserts(monkeypatch)
     for _, ideal in catalog_oracle_ideals():
         truncation_length_oracle(ideal)
-    assert counts == [50961, 2560]
+    assert counts == [36250, 2123]
 
 
 def test_skipped_rows_e8_0_bracket_count(monkeypatch):
@@ -637,45 +639,45 @@ CATALOG_SCHEDULE = {
     'E_6^0/p2 J': ((6,), 'a0953f6040fbe09bbc6d1bde016a4bc7e87a6472'),
     'E_6^0/p2 J[p]': ((6, 9), 'b1a3df33710f2634b26516f37ea50b168653145f'),
     'E_6^1/p2 J': ((6,), '22a1a956e1dabb18d7f58dcf49fd2c60a2520aab'),
-    'E_6^1/p2 J[p]': ((6, 9), '710c83fd37e9cdb50686c051b14c44882ca21303'),
-    'E_7^0/p2 J': ((6, 9), '4ec6ec6d731c2de0c1c46d11c31f6aac778cf7f3'),
-    'E_7^0/p2 J[p]': ((8, 12, 18), '3f3345ba9284dfce0e518a4ba55a79d53c601abd'),
+    'E_6^1/p2 J[p]': ((6, 8), '270b46621418ed52e1b3f21084ab2db2b699f7b6'),
+    'E_7^0/p2 J': ((6, 7), 'd1829d5ed85387cd1dee62738219262a6f72860f'),
+    'E_7^0/p2 J[p]': ((8, 12, 13), '8d2b59dbe1fe2fb49952bea73d5d0eb0d5231541'),
     'E_7^1/p2 J': ((6,), 'c171f5cb79d3bc6f906969cbb0c8dde8d5beee9f'),
     'E_7^1/p2 J[p]': ((8, 12), '270d05c55569b54c91a46769a12f4d926de45b5a'),
     'E_7^2/p2 J': ((6,), '4d2bc887e7ea8c95aaff48e6b3557be5576bcb54'),
-    'E_7^2/p2 J[p]': ((8, 12), 'f1df6ab9a19c914dbddad6c5ef583f8deed6b3f2'),
+    'E_7^2/p2 J[p]': ((8, 9), '7bf82e7e1e80f9ce9b2b1ef5a66b034251f96f47'),
     'E_7^3/p2 J': ((6,), '4e48cd2066a6a268a38cb7ecd4c5ce1480d6e99d'),
     'E_7^3/p2 J[p]': ((8, 12), '4db6a89ea8c3351048093b840379c28139719e69'),
     'E_8^0/p2 J': ((7,), 'e338f1cd2f386b9a9e4194c3e672f1a3df6a175f'),
-    'E_8^0/p2 J[p]': ((10, 15), 'fc16612203228fe5789db11af77851efe370464d'),
+    'E_8^0/p2 J[p]': ((10, 13), '294ee2154184cf253a176be676380110986ce7c9'),
     'E_8^1/p2 J': ((7,), 'c13646996b5d1b304e711083147cea4c7430b7d6'),
-    'E_8^1/p2 J[p]': ((10, 15), '3b8abf1e6b3d527c9fe4998afdab1867ec0c80c2'),
+    'E_8^1/p2 J[p]': ((10, 11), 'da040f6643efd56c23744c4ab2b5d71756af92bc'),
     'E_8^2/p2 J': ((7,), '70377658a14803820b8e5fad40cecd52017c1ecc'),
-    'E_8^2/p2 J[p]': ((10, 15), 'fcb045bb2886af90d887fea0bf61305455508a5d'),
+    'E_8^2/p2 J[p]': ((10, 11), 'd5e192361fad3c52e7e7187e43b7893e73d3917a'),
     'E_8^3/p2 J': ((7,), '34866f2b7d3f85dc29f078e313f7cb23415e9fb2'),
     'E_8^3/p2 J[p]': ((10,), '8de0b9388162e667b60b8415bfa33ac43ba14c2f'),
     'E_8^4/p2 J': ((7,), 'f28081c8eedb2e0075f8a1c54e69ae4131352355'),
     'E_8^4/p2 J[p]': ((10,), 'e76faa1ea233bfe545499c67f27c2a10f4bbad0d'),
     'E_6^0/p3 J': ((6,), '4808b697ebe357a0785505bdba05afa14d114dcc'),
-    'E_6^0/p3 J[p]': ((11, 16), '94a7d5ae0f9b717354f36eaf36daa71a1ee68fd9'),
+    'E_6^0/p3 J[p]': ((11, 15), '47a4301c0bfbb2f912102ca396bb2ea1000957b0'),
     'E_6^1/p3 J': ((6,), '36ed1e2efae1bf6fe97049e7ffd082330b9b5760'),
-    'E_6^1/p3 J[p]': ((11, 16), '1c34dce8138e2e323138abf6c56da1fdfe0104bb'),
+    'E_6^1/p3 J[p]': ((11, 13), '39336d732bd4bb69a5f4ed090960dcd11333bd9c'),
     'E_7^0/p3 J': ((6,), '4808b697ebe357a0785505bdba05afa14d114dcc'),
-    'E_7^0/p3 J[p]': ((11, 16), '94a7d5ae0f9b717354f36eaf36daa71a1ee68fd9'),
+    'E_7^0/p3 J[p]': ((11, 15), '47a4301c0bfbb2f912102ca396bb2ea1000957b0'),
     'E_7^1/p3 J': ((6,), '8f17398ed7aa6f6a6d227574d6aaf1b8bd27c01b'),
-    'E_7^1/p3 J[p]': ((11, 16), '4e6d5e6bf62f94e1f5f137ce5a5e3cfa743d9970'),
+    'E_7^1/p3 J[p]': ((11, 13), '7d1bd05f86bf82daaadd58834f3a1847827ca992'),
     'E_8^0/p3 J': ((7,), '6397dd72a9bb32bddeb15c66b5c99b6cecdb659c'),
-    'E_8^0/p3 J[p]': ((14, 21), '1209c263195ebc698440de04e6a7d7cc9244d9f0'),
+    'E_8^0/p3 J[p]': ((14, 18), 'a83092fcd143a409a2c40bcdb20a24d260ef6cda'),
     'E_8^1/p3 J': ((7,), 'c8824b389119918218497502f664aeaea0597a25'),
-    'E_8^1/p3 J[p]': ((14, 21), '7db64afc65c19d98b607e801f94ffb5833441900'),
+    'E_8^1/p3 J[p]': ((14, 16), 'eafe5315d55d02b53be3e5ef3c4ead06239905cc'),
     'E_8^2/p3 J': ((7,), 'f8835516d37113e0c7b1eb2d6ced60fba130dba2'),
-    'E_8^2/p3 J[p]': ((14, 21), '313d6794040477099998ee796b55f498f2dab1d6'),
+    'E_8^2/p3 J[p]': ((14, 15), 'aa323e1d5129e70872b3251b1ac869bd0d7e92d5'),
     'E_6/p5 J': ((6,), '84126c5c7df8a1d5a7b5aa3b4020ab486aef734b'),
-    'E_6/p5 J[p]': ((17, 25), '57af4ac599d0c2e4d3a5eacad28785b8560b02e8'),
+    'E_6/p5 J[p]': ((17, 19), '223abeff888ba6fdec9481d64edf170b7997b748'),
     'E_7/p5 J': ((6,), '2335b915267ead64df5b594e8762a76f660faaac'),
     'E_7/p5 J[p]': ((17, 25), '228d63e48eb8e5cec5f62de5da0b04c1dd6c90df'),
     'E_8^0/p5 J': ((7,), '9ebffe550fe64d74183538d9952a8933af7e9fd2'),
-    'E_8^0/p5 J[p]': ((12, 18, 27, 40), 'dcd9fd59c064ff9b3abf2af3c9ea7aef83dca657'),
+    'E_8^0/p5 J[p]': ((12, 18, 27, 29), 'fd1b2d566a1087b218b80be9e76a9524899e8101'),
     'E_8^1/p5 J': ((7,), '9694642c98738eddf159b4dcb19415139a4a1f11'),
     'E_8^1/p5 J[p]': ((22, 33), '4da4a39d4569a34dfa114dd08868431e22aa3fa5'),
 }
@@ -690,6 +692,96 @@ def test_catalog_schedule_and_pivots_are_pinned(monkeypatch):
         digest = hashlib.sha1(",".join(map(str, pivot_ranks(run))).encode()).hexdigest()
         seen[label] = (tuple(workdegs), digest)
     assert seen == CATALOG_SCHEDULE
+
+
+# -- the working-degree schedule -----------------------------------------------------
+
+def step_only(monkeypatch):
+    """Make every failed run step by the x1.5 rule alone."""
+    monkeypatch.setattr(_OracleRun, "next_workdeg", lambda run, step: step)
+
+
+def test_bounded_step_certifies_past_the_column_bound(monkeypatch):
+    # The x1.5 rule alone goes 14, 21, 31, 46, and 46 has more than
+    # _MAX_COLUMNS monomials below it.  The run at 31 sees the highest
+    # corner x^11*y^11*z^11 of its pivots, so 35 certifies.
+    I = ideal_of(["x^12", "y^12", "z^12"])
+    workdegs = log_oracle_runs(monkeypatch)
+    assert truncation_length_oracle(I) == 1728
+    assert workdegs == [14, 21, 31, 35]
+    step_only(monkeypatch)
+    workdegs.clear()
+    assert truncation_length_oracle(I) is UNSTABLE
+    assert workdegs == [14, 21, 31]
+
+
+def test_bounded_steps_certify_and_keep_the_value(monkeypatch):
+    # m-primary ideals: the generator of each variable has a pure power as
+    # its only term of lowest degree, so the pivots generate an ideal with
+    # a highest corner once its power lies below the working degree.
+    rng = random.Random(20261020)
+    workdegs = log_oracle_runs(monkeypatch)
+    real_next = _OracleRun.next_workdeg
+    chosen = []  # (step, next working degree) of each failed run
+
+    def logged_next(run, step):
+        chosen.append((step, real_next(run, step)))
+        return chosen[-1][1]
+
+    bounded = 0
+    for case in range(150):
+        p = (2, 3, 5)[case % 3]
+        n = 2 + case % 2
+        ring = lring(p, ("x", "y", "z")[:n])
+        gens = []
+        for i in range(n):
+            a = rng.randint(2, 10 if n == 2 else 7)
+            terms = {}
+            for _ in range(rng.randint(0, 3)):
+                m = [0] * n
+                for _ in range(a + rng.randint(1, 2)):
+                    m[rng.randrange(n)] += 1
+                terms[tuple(m)] = rng.randrange(1, p)
+            terms[tuple(a * (j == i) for j in range(n))] = 1
+            gens.append(ring.poly(terms))
+        gens += [random_local_poly(rng, ring, 3, 2) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(gens)
+        I = IdealPresentation(gens, ring)
+        monkeypatch.setattr(_OracleRun, "next_workdeg", logged_next)
+        workdegs.clear()
+        chosen.clear()
+        value = truncation_length_oracle(I)
+        assert value is not UNSTABLE, (p, gens)
+        assert workdegs[1:] == [deg for _, deg in chosen], (p, gens)
+        # A degree below the step comes from the bound, and its run is the
+        # last: it certifies.
+        bounds = [k for k, (step, deg) in enumerate(chosen) if deg < step]
+        assert bounds in ([], [len(chosen) - 1]), (p, gens, chosen)
+        bounded += bool(bounds)
+        step_only(monkeypatch)
+        assert truncation_length_oracle(I) == value, (p, gens)
+    assert bounded >= 40
+
+
+def test_oracle_membership_above_a_bounded_working_degree():
+    # E_8^0 at p = 5: the run at 27 bounds the next working degree by 29,
+    # where the x1.5 rule would take 40.  Probes carry terms at and above 29.
+    rec = next(r for r in table_records() if (r.label, r.char) == ("E_8^0", 5))
+    germ = rec.germ()
+    bracket = bracket_ideal(jacobian_ideal(germ), germ)
+    _, run = _oracle_run(bracket, DEFAULT_DEGREE_CAP)
+    assert run.workdeg == 29
+    r = bracket.ring
+    rng = random.Random(29)
+    answers = set()
+    for _ in range(8):
+        low = {tuple(rng.randint(0, 12) for _ in range(3)): rng.randrange(1, 5) for _ in range(2)}
+        high = {(29 - b + rng.randint(0, 3), b, rng.randint(0, 2)): 1 for b in (0, 7, 20)}
+        g = r.poly({**low, **high})
+        answer = truncation_contains(bracket, g)
+        assert answer is contains(bracket, g), g
+        answers.add(answer)
+    assert answers == {True, False}
 
 def test_oracle_membership_truncates_above_the_working_degree():
     I = ideal_of(["x^2", "y^3"], 5, ("x", "y"))

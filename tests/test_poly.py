@@ -180,22 +180,6 @@ def test_frobenius_past_the_exponent_bound():
         (x * x).frobenius(15)
 
 
-# -- renaming --------------------------------------------------------------
-
-def test_rename_examples():
-    r = ring2()
-    f = parse_poly("z^2+x^3", r)
-    assert f.rename((2, 1, 0)) == parse_poly("x^2+z^3", r)
-    assert f.rename((0, 1, 2)) == f
-    assert parse_poly("x*y", r).rename((1, 2, 0)) == parse_poly("y*z", r)
-
-
-def test_rename_requires_bijection():
-    r = ring2()
-    with pytest.raises(UsageError):
-        parse_poly("x", r).rename((0, 0, 1))
-
-
 # -- orderings -------------------------------------------------------------
 
 def test_global_ordering_is_degrevlex():

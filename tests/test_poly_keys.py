@@ -126,12 +126,11 @@ def test_carried_keys_stay_fresh(case, bound):
     for what, r in (("f", f), ("f + g", f + g), ("f - g", f - g), ("g - f", g - f),
                     ("f * g", f * g), ("f^2", f ** 2), ("scale", f.scale(2)),
                     ("monic", f.monic()), ("frobenius", f.frobenius(1)),
-                    ("partial", f.partial(0)), ("rename", f.rename(tuple(reversed(range(ring.nvars))))),
+                    ("partial", f.partial(0)),
                     ("constant", ring.constant(1)), ("zero", ring.zero())):
         assert_keys_fresh(r, what)
     if f.is_zero or g.is_zero:
         return
-    assert_keys_fresh(f.tail(), "tail")
     assert_keys_fresh(f.term_mul(2, g.lm()), "term_mul")
     assert_keys_fresh(_cut_at(f, bound), "_cut_at")
     corner = None if ring.ordering is GLOBAL else bound
