@@ -2,23 +2,26 @@
 ordering, Mora).
 
 Every normal form, under either ordering, comes from one reduction loop,
-`_reduce`: Mora's weak normal form with ecart-minimizing reducer selection
-(Greuel-Pfister, A Singular Introduction to Commutative Algebra, 1.6).
-Under the local ordering the working set of reducers grows with
-intermediate remainders, which is what makes the division terminate
-although the ordering is not a well-ordering.  Under the global
-degrevlex ordering every ecart is 0, so nothing joins the reducers and
-the first divisor is chosen: the loop is the plain multivariate division
-algorithm, and it moves irreducible leading terms to a remainder, so the
-result is fully reduced.  Completion is Buchberger's pair loop under
-both orderings.
+`_reduce`, with one of two reducer rules.  Under the local ordering, while
+no highest corner is known, it is Mora's weak normal form with
+ecart-minimizing reducer selection (Greuel-Pfister, A Singular
+Introduction to Commutative Algebra, 1.6): the working set of reducers
+grows with intermediate remainders, which is what makes the division
+terminate although the ordering is not a well-ordering.  Under the global
+degrevlex ordering, and under the local one once a corner is known, it is
+the plain multivariate division algorithm: the first divisor is chosen
+and nothing joins the reducers.  Under the global ordering it moves
+irreducible leading terms to a remainder, so the result is fully reduced;
+under the local one it stops at an irreducible leading term.  Completion
+is Buchberger's pair loop under both orderings.
 
-A Mora normal form is a *weak* normal form: u*f = sum q_i g_i + nf for
+A local normal form is a *weak* normal form: u*f = sum q_i g_i + nf for
 some unit u of the localization, its leading monomial is irreducible, and
 nf = 0 if and only if f lies in the ideal extended to the localization at
-the origin.  Tail terms of a local normal form may still be divisible by
-leading terms; full tail reduction need not terminate in a localization
-and nothing downstream needs it.
+the origin.  Below a corner D the unit is u = 1 modulo m^D (division below
+the corner, next).  Tail terms of a local normal form may still be
+divisible by leading terms; full tail reduction need not terminate in a
+localization and nothing downstream needs it.
 
 Highest corner.  Under the local ordering the completion watches for the
 corner degree D of its partial basis S: the least degree such that every
@@ -35,24 +38,41 @@ m^D in I*O + m^(D+1), and Nakayama's lemma gives m^D in I*O.
 
 From then on the completion works modulo m^D, which changes nothing in
 O/I*O: it runs on S together with the implicit monomial generators of
-degree D.  Dropping a term of degree >= D from an S-polynomial, a Mora
-intermediate or a stored basis element is a reduction of that term by the
-degree-D monomial dividing it; an element whose leading monomial has
-degree >= D is replaced by that monomial.  An S-pair whose lcm has degree
->= D is skipped: every term of g has degree >= deg LM(g), so every term
-of (lcm/LM(g))*g, and of the S-polynomial, has degree >= deg(lcm) >= D,
-and the S-polynomial reduces to zero by the monomial generators alone.
-Pairs with a monomial generator vanish for the same reason.  D only falls
-as the leading ideal grows, and every new element is truncated below D,
-so its leading monomial can lower D: the corner is re-read after each new
-element.  A `StandardBasis` reads its `corner` off its own leading
-monomials (for a completed basis, the completion's last sweep of the same
-leading ideal), and normal forms against it truncate in the same way.  The
-argument needs only S inside the ideal, not S standard, so the S-pair
-self-check truncates at the corner it reads off the basis itself.  The
-corner is None under the global ordering, where nothing is truncated, and
-when some variable has no pure power (the quotient is not Artinian at the
-origin, or not yet known to be).
+degree D.  Dropping a term of degree >= D from an S-polynomial, an
+intermediate remainder or a stored basis element is a reduction of that
+term by the degree-D monomial dividing it; an element whose leading
+monomial has degree >= D is replaced by that monomial.  An S-pair whose
+lcm has degree >= D is skipped: every term of g has degree >= deg LM(g),
+so every term of (lcm/LM(g))*g, and of the S-polynomial, has degree >=
+deg(lcm) >= D, and the S-polynomial reduces to zero by the monomial
+generators alone.  Pairs with a monomial generator vanish for the same
+reason.  D only falls as the leading ideal grows, and every new element is
+truncated below D, so its leading monomial can lower D: the corner is
+re-read after each new element.  A `StandardBasis` reads its `corner` off
+its own leading monomials (for a completed basis, the completion's last
+sweep of the same leading ideal), and normal forms against it truncate in
+the same way.  The argument needs only S inside the ideal, not S standard,
+so the S-pair self-check truncates at the corner it reads off the basis
+itself.  The corner is None under the global ordering, where nothing is
+truncated, and when some variable has no pure power (the quotient is not
+Artinian at the origin, or not yet known to be).
+
+Division below the corner.  Modulo m^D the local ring is the finite
+algebra O/m^D = R/m^D, spanned by the C(D - 1 + n, n) monomials of degree
+< D, which the local ordering totally orders.  Every term of the working
+polynomial h has degree < D, since the seed and each reducer multiple are
+cut there.  A step cancels LT(h) against (t/LM(g))*g for a g whose leading
+monomial divides LM(h) = t; every other term of g is smaller than LM(g),
+and a monomial factor keeps the order, so the step replaces LT(h) by
+strictly smaller terms, and those of degree >= D are dropped, a reduction
+by the degree-D monomials.  So LM(h) falls strictly in a finite total
+order, and plain division ends after at most C(D - 1 + n, n) steps, with
+no ecart, no joins and no unit: f = sum q_i g_i + nf modulo m^D, that is,
+u = 1, with LM(nf) irreducible.  If the reducers with the degree-D
+monomials are a standard basis, nf = 0 exactly when f lies in I*O: else
+LM(nf), of degree < D, would be a leading monomial of I*O + m^D = I*O.
+Mora's selection and joins buy a termination that the corner already
+gives, so they run only before a corner is known.
 
 The coprimality criterion is applied only under the global ordering.  Its
 classical proof breaks for non-well-orderings (a tail monomial may be a
@@ -81,23 +101,25 @@ generate those of all pairs, and so all syzygies of the leading terms.
 
 That this suffices is Buchberger's criterion in its syzygy form: if every
 pair of such a generating set has an S-polynomial with a standard
-representation, the set is a standard basis (Greuel-Pfister ch. 2 prove
-it for weak normal forms under any monomial ordering).  Modulo m^D it also
+representation, the set is a standard basis (Greuel-Pfister ch. 2 prove it
+for weak normal forms under any monomial ordering).  Modulo m^D it also
 has a direct proof.  In O/m^D every element is a combination of the
 finitely many monomials of degree < D, which the local ordering
 well-orders, and an element with a nonzero constant term is a unit.  A
-Mora normal form 0 of s gives u*s = sum q_i g_i there, with u a unit and
-LM(q_i g_i) <= LM(s), hence the standard representation
-s = sum u^-1 q_i g_i.  Write an f of I*O as sum a_i g_i modulo m^D with the
-largest LM(a_i g_i) =: t as small as possible.  If t > LM(f), the terms at
-t cancel: a syzygy of the leading terms of degree t < D.  Written through
-the generating syzygies, each of whose lcms divides t, and with their
-standard representations substituted, it gives a representation of f with
-a smaller largest term.  So LM(f) = t lies in the leading ideal, and S
-with the degree-D monomials is a standard basis of I*O + m^D = I*O.  Only
-lcms of degree < D occur, which is again why the pairs at or above the
-corner are never needed; and a pair reduced to zero under an earlier,
-higher corner has a standard representation modulo the lower one too.
+normal form 0 of s below the corner gives s = sum q_i g_i there, with
+LM(q_i g_i) <= LM(s): a standard representation.  A Mora normal form 0,
+before the corner was known, gives u*s = sum q_i g_i with u a unit, hence
+the standard representation s = sum u^-1 q_i g_i.  Write an f of I*O as
+sum a_i g_i modulo m^D with the largest LM(a_i g_i) =: t as small as
+possible.  If t > LM(f), the terms at t cancel: a syzygy of the leading
+terms of degree t < D.  Written through the generating syzygies, each of
+whose lcms divides t, and with their standard representations substituted,
+it gives a representation of f with a smaller largest term.  So LM(f) = t
+lies in the leading ideal, and S with the degree-D monomials is a standard
+basis of I*O + m^D = I*O.  Only lcms of degree < D occur, which is again
+why the pairs at or above the corner are never needed; and a pair reduced
+to zero under an earlier, higher corner has a standard representation
+modulo the lower one too.
 
 All loops charge a shared step budget; exceeding it raises
 EngineLimitError, never a wrong answer.
@@ -113,15 +135,15 @@ tuples, decode one, and a Polynomial the engine returns decodes its
 terms only when a reader asks for them.
 
 The working polynomial h of `_reduce` is a dict from packed key to
-coefficient, with a heap of its keys for the leading term.  It starts
-from f, or from the two multiples of an S-pair (`_pair`), added as each
-step adds the |g| terms of its reducer multiple: the rest of h is left
-alone, O(|g| log |h|) work, where a merge of two sorted term tuples would
-cost O(|h| + |g|); a reducer of positive ecart adds an O(|h|) scan for
-h's ecart.  The start is not charged, and a step's charge stays
-1 + (|h| + |g|) // 8, read off the dict's size: the budget measures the
-size of the reduction, not how h happens to be held, so a cap is reached
-at the same step whatever the representation.
+coefficient, with a heap of its keys for the leading term.  It starts from
+f, or from the two multiples of an S-pair (`_pair`), added as each step
+adds the |g| terms of its reducer multiple: the rest of h is left alone,
+O(|g| log |h|) work, where a merge of two sorted term tuples would cost
+O(|h| + |g|); before a corner is known, a reducer of positive ecart adds
+an O(|h|) scan for h's ecart.  The start is not charged, and a step's
+charge stays 1 + (|h| + |g|) // 8, read off the dict's size: the budget
+measures the size of the reduction, not how h happens to be held, so a cap
+is reached at the same step whatever the representation.
 """
 
 from __future__ import annotations
@@ -250,15 +272,19 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, int]], reducers: Sequence[tupl
     reduction loop of the engine.
 
     Each step cancels the leading term of the working polynomial h against
-    the reducer of least ecart whose leading monomial divides it, ties
-    going to the lowest index.  Under the local ordering (Mora) h joins
-    the reducers when its ecart is below the chosen one's, and the loop
-    stops at an irreducible leading term: a weak normal form.  Under the
-    global ordering every ecart is 0, so the rule picks the first divisor
-    and nothing joins; an irreducible leading term moves to the remainder,
-    which makes the result fully reduced.  With a corner D, a multiple
-    c*m*g takes only the terms of g of degree below D - deg m, by the cut
-    rule of `_cut_at`, and only those are checked for exponent overflow.
+    a reducer whose leading monomial divides it, chosen by one of two
+    rules.  Under the local ordering without a corner (Mora), the reducer
+    of least ecart, ties going to the lowest index, and h joins the
+    reducers when its ecart is below the chosen one's.  With a corner D,
+    and under the global ordering, the first divisor, and nothing joins:
+    plain division, which ends below D because the monomials of degree < D
+    are finitely many (module docstring).  Under the local ordering the
+    loop stops at an irreducible leading term, a weak normal form, whose
+    unit is 1 modulo m^D when there is a corner; under the global one an
+    irreducible leading term moves to the remainder, which makes the
+    result fully reduced.  With a corner D, a multiple c*m*g takes only
+    the terms of g of degree below D - deg m, by the cut rule of
+    `_cut_at`, and only those are checked for exponent overflow.
     Against no reducers the loop returns the seeded sum.  A caller that
     reduces against the same elements many times builds their records once.
 
@@ -267,24 +293,25 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, int]], reducers: Sequence[tupl
     they surface.  The leading term is the top of the heap.  The scan for a
     reducer that divides it runs the guard test of `Ring.record_divides` on
     the records, inlined, as it is the engine's innermost test.  h's ecart,
-    needed only when the chosen reducer has a positive one, is the degree
-    of the smallest key, which under the local ordering is the term of
-    highest degree, less that of the leading key.  The seed and each step's
-    reducer multiple are added by the same code, which reads the kept terms
-    of g in place and leaves out the reducer's leading term, the one the
-    step cancels.  Keys are additive, so a multiple's keys are g's shifted
-    by key(m), the step's key(m) being the leading key less g's, and no
-    monomial is built: a step costs O(|g| log |h|), not the O(|h| + |g|)
-    of a merge, plus an O(|h|) scan for h's ecart when the reducer's ecart
-    is positive.  A joining h is recorded with a sorted Polynomial
-    snapshot and the record of its leading monomial, so nothing is
-    decoded, and neither is the remainder.  The dict knows |h|, so
-    `_Budget.step` charges exactly what a merge of h and g is charged
-    (module docstring).
+    needed only by Mora's rule and only when the chosen reducer has a
+    positive one, is the degree of the smallest key, which under the local
+    ordering is the term of highest degree, less that of the leading key.
+    The seed and each step's reducer multiple are added by the same code,
+    which reads the kept terms of g in place and leaves out the reducer's
+    leading term, the one the step cancels.  Keys are additive, so a
+    multiple's keys are g's shifted by key(m), the step's key(m) being the
+    leading key less g's, and no monomial is built: a step costs
+    O(|g| log |h|), not the O(|h| + |g|) of a merge, plus, before a corner
+    is known, an O(|h|) scan for h's ecart when the reducer's ecart is
+    positive.  A joining h is recorded with a sorted Polynomial snapshot
+    and the record of its leading monomial, so nothing is decoded, and
+    neither is the remainder.  The dict knows |h|, so `_Budget.step`
+    charges exactly what a merge of h and g is charged (module docstring).
     """
     ring = seed[0][0].ring
     p, guards = ring.p, ring.guards
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
+    mora = not is_global and corner is None  # else the first divisor, and no joins
     reducers = list(reducers)  # the joins stay local to this call
     h: dict = {}
     heap: List[int] = []
@@ -322,15 +349,15 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, int]], reducers: Sequence[tupl
         for r in reducers:
             if (best is None or r[0] < best[0]) and (guarded - r[2]) & guards == guards:
                 best = r
-                if r[0] == 0:
-                    break  # nothing later can win
+                if r[0] == 0 or not mora:
+                    break  # plain division, or nothing later can win
         if best is None:
             if not is_global:
                 break
             remainder[lead] = h.pop(lead)
             continue
         ec, g, _ = best
-        if ec:
+        if mora and ec:
             eh = ring.deg(min(h)) - ring.deg(lead)
             if ec > eh:
                 reducers.append((eh, _from_keyed(ring, h), e))
@@ -344,10 +371,12 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, int]], reducers: Sequence[tupl
 def normal_form(f: Polynomial, basis, step_cap: Optional[int] = None) -> Polynomial:
     """Normal form of f modulo a (completed) basis.
 
-    Global ordering: the fully reduced remainder.  Local ordering: the Mora
-    weak normal form, without terms of degree >= basis.corner; zero exactly
-    when f lies in the ideal inside the localization at the origin.  A
-    plain tuple of generators has no corner: the loop runs untruncated.
+    Global ordering: the fully reduced remainder.  Local ordering: a weak
+    normal form, zero exactly when f lies in the ideal inside the
+    localization at the origin; against a basis with a corner D it is
+    plain division with unit 1 modulo m^D, without terms of degree >= D.
+    A plain tuple of generators has no corner: the loop is Mora's,
+    untruncated.
     """
     for g in basis:
         f._check_ring(g)

@@ -370,6 +370,25 @@ def test_analyze_over_the_step_cap_prints_the_report_and_exits_3(capsys):
     assert json.loads(line) == {"error": "engine limit", "verdict": "BLOCKED"}
 
 
+# E_8^0, z^2 + x^3 + y^5, at p = 5 after the change of coordinates
+# [[4, 3, 3], [3, 4, 0], [4, 4, 0]], expanded over F_5.  Its J^[p]
+# completion fits the default step cap only because the reduction below
+# its corner is plain division; Mora's rule there runs past the cap.
+E8_0_P5_MOVED = ("3*x*x*x*x*x+4*x*x*x+4*x*x*y+4*x*x*z+x*x+3*x*y*y+x*y*z+2*x*y+3*x*z*z"
+                 "+4*y*y*y*y*y+2*y*y*y+y*y*z+y*y+y*z*z+2*z*z*z")
+
+
+def test_analyze_e8_0_in_moved_coordinates_at_p5(capsys):
+    code, payload, _ = run_json(capsys, "analyze", "--char", "5", "--vars", "x,y,z",
+                                "--poly", E8_0_P5_MOVED)
+    assert code == 0
+    witness = next(c["witness"] for c in payload["criteria"] if c["id"] == "LENGTH_FORMULA")
+    # the published E_8^0 row at p = 5: tau = 10, l(O/J^[p]) = 250
+    assert (witness["len_jacobian"], witness["len_bracket"]) == (10, 250)
+    tjurina = next(c["witness"] for c in payload["criteria"] if c["id"] == "TJURINA_P_DIVISIBLE")
+    assert tjurina["tjurina"] == 10
+
+
 def test_tables_text_mode(capsys):
     code, out, err = run(capsys, "tables", "--char", "3")
     assert code == 0 and err == ""

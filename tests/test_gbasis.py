@@ -14,8 +14,9 @@ from rdpdescent import gbasis
 from rdpdescent.catalog import instantiate
 from rdpdescent.errors import UsageError
 from rdpdescent.gbasis import _Budget, _reduce, _reducer
-from rdpdescent.ideals import (UNSTABLE, HypersurfaceGerm, IdealPresentation, bracket_ideal,
-                               jacobian_ideal, truncation_contains, truncation_length_oracle)
+from rdpdescent.ideals import (UNSTABLE, HypersurfaceGerm, IdealPresentation, _OracleRun,
+                               bracket_ideal, jacobian_ideal, truncation_contains,
+                               truncation_length_oracle)
 from rdpdescent.poly import inv_mod, mono_deg
 
 GLOBAL = OrderingTag.GLOBAL_DEGREVLEX
@@ -249,12 +250,54 @@ def test_local_normal_form_at_corner():
         assert_no_lead_divides(nf, b)
         assert_oracle_relations(f, nf, gens)
         done += 1
-    # x joins the reducers (ecart 0 below 1), and then cancels x^2:
-    # (1 - x)*x = 1*(x - x^2)
+    # Two plain division steps: x - (x - x^2) = x^2, and x^2 - x*(x - x^2)
+    # = x^3 lies in m^3, so x = (1 + x)*(x - x^2) modulo m^3.
     r = Ring(3, ("x", "y"), LOCAL)
     b = basis_of(["x-x^2", "y^3"], r)
     assert b.corner == 3
     assert normal_form(parse_poly("x", r), b).is_zero
+
+
+def assert_plain_division_below(f, basis, gens):
+    # With a corner D the reduction is plain division in R/m^D, so
+    # f - nf lies in I + m^D: the unit of the weak normal form is 1.  The
+    # oracle's elimination of I in R/m^D decides it, and shares no code
+    # with the engine.
+    corner = basis.corner
+    nf = normal_form(f, basis)
+    assert all(mono_deg(m) < corner for m, _ in nf.terms)
+    assert_no_lead_divides(nf, basis)
+    run = _OracleRun(gens, corner)
+    assert run.ech.member(dict(run._keyed(f - nf))), (gens, f, nf)
+
+
+def test_local_normal_form_has_unit_one_at_the_corner():
+    rng = random.Random(71)
+    done = 0
+    while done < 200:
+        p = rng.choice([2, 3, 5])
+        n = rng.choice([2, 3])
+        r = Ring(p, ("x", "y", "z")[:n], LOCAL)
+        gens = [random_poly(rng, r, max_terms=4, max_exp=4) for _ in range(n + 1)]
+        gens = [g - r.constant(g.constant_coeff()) for g in gens]  # not the unit ideal
+        try:
+            b = complete_basis(gens, step_cap=4000)
+        except EngineLimitError:
+            continue
+        if b.corner is None:
+            continue  # not primary to the origin
+        assert_plain_division_below(random_poly(rng, r, max_terms=8, max_exp=5), b, gens)
+        done += 1
+
+
+def test_bracket_normal_form_has_unit_one_at_the_corner():
+    equation, _ = COORDS_E8_P3["E_8^0"]
+    germ = HypersurfaceGerm(parse_poly(equation, lring(3)))
+    gens = bracket_ideal(jacobian_ideal(germ), germ).local().gens
+    b = complete_basis(gens, step_cap=20000)
+    rng = random.Random(72)
+    for _ in range(10):
+        assert_plain_division_below(random_poly(rng, b.ring, max_terms=12, max_exp=b.corner - 1), b, gens)
 
 
 # -- S-pair self-check suite -------------------------------------------------
@@ -415,7 +458,7 @@ def e7_1_bracket_p3_local():
 
 # The ids leave out the pinned values, so that re-pinning keeps the test ids.
 @pytest.mark.parametrize("make_gens, need", [
-    pytest.param(e8_1_bracket_p5_local, 1560, id="e8_1_bracket_p5_local"),
+    pytest.param(e8_1_bracket_p5_local, 1532, id="e8_1_bracket_p5_local"),
     pytest.param(e7_1_jacobian_p3_global, 17, id="e7_1_jacobian_p3_global"),
     pytest.param(e7_1_bracket_p3_local, 30, id="e7_1_bracket_p3_local"),
 ])
@@ -461,8 +504,9 @@ def test_reducer_records_stay_fresh(monkeypatch, n, co, p):
     # Every record (ecart, g, e) that the completion hands to the
     # reduction loop holds the ecart of its g and the exponent record of
     # its leading monomial.  A corner's cut shortens the tails, so a record
-    # kept from before the cut would overstate its ecart and skew the
-    # reducer choice.
+    # kept from before the cut would overstate its ecart.  Below a corner
+    # the reducer choice no longer reads the ecart; the check keeps each
+    # record true to its g.
     records = []
     real_reduce = gbasis._reduce
 
@@ -498,10 +542,13 @@ def cut_multiple(g, c, m, corner):
 def merge_reduce(f, gens, budget, corner=None):
     """The reduction loop with h held as a Polynomial: each step subtracts
     the reducer multiple that term_mul builds, a merge of |h| + |g| terms.
-    The same reducer choice, joins, truncation and charges as `_reduce`;
-    returns the normal form and the number of Mora joins."""
+    The same reducer choice, joins, truncation and charges as `_reduce`:
+    Mora's least ecart and joins under the local ordering without a
+    corner, else the first divisor and no joins.  Returns the normal form
+    and the number of Mora joins."""
     ring = f.ring
     is_global = ring.ordering == GLOBAL
+    mora = not is_global and corner is None
     reducers = [(g, g.ecart()) for g in gens]
     h = cut_multiple(f, 1, (0,) * ring.nvars, corner)
     remainder = {}
@@ -512,7 +559,7 @@ def merge_reduce(f, gens, budget, corner=None):
         for r in reducers:
             if (best is None or r[1] < best[1]) and mono_divides(r[0].lm(), lm):
                 best = r
-                if r[1] == 0:
+                if r[1] == 0 or not mora:
                     break
         if best is None:
             if not is_global:
@@ -521,7 +568,7 @@ def merge_reduce(f, gens, budget, corner=None):
             h = ring.poly(dict(h.terms[1:]))  # h without its leading term
             continue
         g, ec = best
-        if ec > h.ecart():
+        if mora and ec > h.ecart():
             reducers.append((h, h.ecart()))
             joins += 1
         budget.step(len(h.terms), len(g.terms))
@@ -566,9 +613,12 @@ def reduction_outcome(reduce, case, cap):
 
 
 # x is x + x^2 times a unit of the localization; reducing it joins x to
-# the reducers, and one more step with the joined x reaches 0.
+# the reducers, and one more step with the joined x reaches 0.  Below the
+# corner 4 nothing joins: x - (x + x^2) = -x^2, -x^2 + x*(x + x^2) = x^3
+# and x^3 - x^2*(x + x^2) = -x^4, which is cut: three plain division steps.
 X_LOCAL = Ring(3, ("x",), LOCAL)
 JOINING = (X_LOCAL.poly({(1,): 1}), [X_LOCAL.poly({(1,): 1, (2,): 1})], None)
+BELOW_A_CORNER = (*JOINING[:2], 4)
 
 
 def test_the_joining_example_joins():
@@ -576,9 +626,19 @@ def test_the_joining_example_joins():
     assert nf.is_zero and joins == 1
 
 
+def test_below_a_corner_nothing_joins():
+    _, joins = merge_reduce(*BELOW_A_CORNER[:2], _Budget(100), BELOW_A_CORNER[2])
+    assert joins == 0
+    for corner, steps in [(None, 2), (4, 3)]:
+        budget = _Budget(100)
+        assert reduce_poly(*JOINING[:2], budget, corner).is_zero
+        assert budget.cap - budget.remaining == steps, corner
+
+
 @settings(max_examples=300, deadline=None)
 @given(reductions(), st.integers(0, 1 << 16))
 @example(JOINING, 0)
+@example(BELOW_A_CORNER, 0)
 def test_reduction_matches_the_merge_loop(case, draw):
     # Same normal form and keys, same budget left, and an engine limit at
     # exactly the same caps: the one the whole reduction needs, one below
