@@ -74,10 +74,23 @@ LM(nf), of degree < D, would be a leading monomial of I*O + m^D = I*O.
 Mora's selection and joins buy a termination that the corner already
 gives, so they run only before a corner is known.
 
-The coprimality criterion is applied only under the global ordering.  Its
-classical proof breaks for non-well-orderings (a tail monomial may be a
-multiple of the leading one), and a wrong basis would be much worse than a
-few redundant reductions.
+Product criterion.  Under both orderings the completion skips the pair of
+monic f = LM(f) + t_f and g = LM(g) + t_g when their leading monomials
+are coprime, unless LM(t_f)*LM(g) = LM(t_g)*LM(f).  The S-polynomial is
+s = LM(g)*f - LM(f)*g = t_f*g - t_g*f, and both products lead below lcm =
+LM(f)*LM(g).  When their leading monomials differ, the larger one is
+LM(s), so s = t_f*g - t_g*f is a standard representation; when f or g is
+a monomial, one product is zero and the other is s.  That is all that the
+direct proof modulo m^D below needs, for every D, so it covers completions
+with no corner as well.  On packed keys the test is one compare, of
+g.keys[0] + f.keys[1] with f.keys[0] + g.keys[1].  As the leading
+monomials are coprime, the products can coincide only when LM(f) |
+LM(t_f) and LM(g) | LM(t_g).  Under a well-ordering a tail monomial is
+smaller than the leading one and so never a multiple of it, and the test
+always passes.  Under the local ordering it can fail, as for x + x*z and
+y + 2*y*z, whose products both lead at x*y*z, and then the pair is
+reduced.  A corner's cut only drops tail terms, so a pair that passes the
+test keeps passing, and one whose tail is cut away entirely passes.
 
 Chain criterion.  Under both orderings the completion drops pairs by the
 Gebauer-Moeller rules (On an installation of Buchberger's algorithm, JSC
@@ -96,8 +109,9 @@ properly divides lcm(i, k), and of s_ij, whose lcm divides it and whose
 larger index is below k; under F, the dropped s_jk is one of the kept
 s_ik and of s_ij, whose lcm divides lcm(i, k).  By induction over the lcm,
 ordered by divisibility, and then the larger index, the pairs that are
-reduced, or skipped as coprime or at the corner, have syzygies that
-generate those of all pairs, and so all syzygies of the leading terms.
+reduced, or skipped by the product criterion or at the corner, have
+syzygies that generate those of all pairs, and so all syzygies of the
+leading terms.
 
 That this suffices is Buchberger's criterion in its syzygy form: if every
 pair of such a generating set has an S-polynomial with a standard
@@ -506,11 +520,11 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
                 basis[:] = [_reducer(_cut_at(r[1], corner)) for r in basis]
         k, ek = len(basis) - 1, basis[-1][2]
         lcms = [ring.record_lcm(r[2], ek) for r in basis[:k]]
-        # F: one new pair per lcm, a coprime one if there is one (the
-        # product criterion then skips it), else the first.
+        # F: one new pair per lcm, one that the product criterion skips if
+        # there is one, else the first.
         kept = {}
         for i, lcm in enumerate(lcms):
-            if lcm not in kept or (is_global and lcm == basis[i][2] + ek):
+            if lcm not in kept or _product_criterion(basis[i][1], basis[k][1], lcm, basis[i][2] + ek):
                 kept[lcm] = i
         # M: no new pair whose lcm is a proper multiple of another's.  By
         # increasing degree, it suffices to test the lcms kept so far.
@@ -534,13 +548,24 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
                for _, _, e in basis[j + 1:]):
             continue  # costs nothing
         budget.spend()
-        if is_global and lcm == ei + ej:
-            continue  # coprime leading monomials: S-pair reduces to zero
+        if _product_criterion(gi, gj, lcm, ei + ej):
+            continue  # s = t_i*g_j - t_j*g_i is a standard representation
         h = _reduce(_pair(gi, gj), basis, budget, corner)
         if not h.is_zero:
             add(h.monic())  # truncated, so its leading monomial has degree < corner
 
     return _minimalize(basis, ring, budget, stair)
+
+
+def _product_criterion(f: Polynomial, g: Polynomial, lcm: int, product: int) -> bool:
+    """Whether the pair of f and g may be skipped: their leading monomials
+    are coprime (lcm, the record of their lcm, equals product, the sum of
+    their records), and LM(g)*LM(tail f) != LM(f)*LM(tail g), or one of
+    them has no tail (module docstring)."""
+    if lcm != product:
+        return False
+    fk, gk = f.keys, g.keys
+    return len(fk) == 1 or len(gk) == 1 or gk[0] + fk[1] != fk[0] + gk[1]
 
 
 def _minimal(items: Sequence, ring: Ring, record=lambda e: e) -> list:

@@ -12,6 +12,8 @@ from rdpdescent import cli, ideals
 from rdpdescent.catalog import table_records
 from rdpdescent.cli import EXIT_OUTPUT_CLOSED, main
 
+from test_gbasis import COORDS_E8_2_P3
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -105,7 +107,7 @@ def test_bad_characteristic_is_usage_error(capsys):
 
 def test_engine_limit_exit_code(capsys):
     code, out, err = run(capsys, "analyze", "--char", "2",
-                         "--poly", "z^2+x^3+y^5+y^3*z", "--step-cap", "5")
+                         "--poly", "z^2+x^3+y^5+y^3*z", "--step-cap", "3")
     assert code == 3
     # No partial report: perfbench/checks.py counts an exit 3 with empty
     # stdout as a failed germ, and a report without its lengths as wrong.
@@ -113,6 +115,18 @@ def test_engine_limit_exit_code(capsys):
     assert len(err.splitlines()) == 1
     note = json.loads(err)
     assert note["error"] == "engine limit"
+
+
+def test_coords_e8_2_germ_is_decided_blocked(capsys):
+    # Its three permuted ideals complete far below this cap, so
+    # INVERTIBLE_SUMMAND is decided; J^[p], which needs 71,800 units, fits.
+    code, payload, err = run_json(capsys, "analyze", "--char", "3", "--poly", COORDS_E8_2_P3,
+                                  "--step-cap", "100000")
+    assert code == 1
+    assert payload["verdict"]["outcome"] == "BLOCKED"
+    summand = next(c for c in payload["criteria"] if c["id"] == "INVERTIBLE_SUMMAND")
+    assert summand["status"] == "FAIL"
+    assert "INVERTIBLE_SUMMAND" in payload["verdict"]["reasons"]
 
 
 def test_tables_char2_all_match(capsys):
@@ -127,7 +141,7 @@ def test_tables_char2_all_match(capsys):
 
 def test_tables_char5_fits_the_work_gate(capsys):
     # The E_8^1 bracket at p = 5 is the largest published completion
-    # (1,560 units of work). It fits this cap only with the
+    # (1,532 units of work). It fits this cap only with the
     # Gebauer-Moeller pair criteria; a completion over it exits 3.
     code, payload, _ = run_json(capsys, "tables", "--char", "5", "--step-cap", "2000")
     assert code == 0
@@ -200,7 +214,7 @@ def test_classify_finishes_under_an_engine_limit(capsys):
     # A limit in one record's battery marks that row and the run goes on.
     _, full, _ = run_json(capsys, "classify", "--char", "2", "--max-n", "8")
     code, payload, err = run_json(capsys, "classify", "--char", "2", "--max-n", "8",
-                                  "--step-cap", "50")
+                                  "--step-cap", "40")
     assert code == 3
     assert [json.loads(line) for line in err.splitlines()] == \
         [{"error": "engine limit during classification"}]
@@ -209,7 +223,7 @@ def test_classify_finishes_under_an_engine_limit(capsys):
     assert limited and payload["all_match"] is False
     for row in limited:
         assert row["verdict"] == "UNDETERMINED" and row["reasons"] == [] and row["match"] is False
-        assert row["engine_limit"].startswith("engine step cap of 50 exceeded")
+        assert row["engine_limit"].startswith("engine step cap of 40 exceeded")
 
 
 def test_oracle_subcommand(capsys):

@@ -345,6 +345,72 @@ def test_pair_update_is_sound_on_random_ideals():
             compared += 1
 
 
+# -- the product criterion ---------------------------------------------------
+
+def test_product_criterion_reduces_a_pair_whose_tail_products_coincide(monkeypatch):
+    # x + x*z and y + 2*y*z have coprime leading monomials, but both tail
+    # products are x*y*z, so they give no standard representation and the
+    # pair is reduced.  z^3 has no tail, and its two pairs are skipped.
+    r = lring(3)
+    gens = [parse_poly(s, r) for s in ("x+x*z", "y+2*y*z", "z^3")]
+    seen = []
+    real_pair = gbasis._pair
+
+    def logged(f, g):
+        seen.append((f.lm(), g.lm()))
+        return real_pair(f, g)
+
+    monkeypatch.setattr(gbasis, "_pair", logged)
+    b = complete_basis(gens)
+    assert seen == [((1, 0, 0), (0, 1, 0))]
+    assert s_pairs_reduce_to_zero(b)
+    assert standard_monomial_count(b) == truncation_length_oracle(IdealPresentation(gens)) == 3
+
+
+def lead_times_unit(rng, ring, unit):
+    """A random term times the unit, plus random terms half the time."""
+    lt = ring.poly({tuple(rng.randrange(3) for _ in range(ring.nvars)): rng.randrange(1, ring.p)})
+    if rng.random() < 0.5:
+        return lt * unit + random_poly(rng, ring, max_terms=2, max_exp=4)
+    return lt * unit
+
+
+def test_product_criterion_on_tails_divisible_by_the_lead(monkeypatch):
+    # Generators LT*u + noise share one unit u = 1 + v per ideal, with v of
+    # positive degree, so a tail often leads at LT*LM(v), and then two
+    # coprime leads give equal tail products: the pairs the criterion must
+    # reduce.  Every basis must pass the S-pair check, which skips nothing,
+    # and every length the oracle certifies must agree.
+    guarded = []
+    real_criterion = gbasis._product_criterion
+
+    def logged(f, g, lcm, product):
+        skip = real_criterion(f, g, lcm, product)
+        guarded.append(lcm == product and not skip)
+        return skip
+
+    monkeypatch.setattr(gbasis, "_product_criterion", logged)
+    rng = random.Random(5)
+    bases = compared = 0
+    while bases < 200:
+        p = rng.choice([2, 3, 5])
+        r = Ring(p, tuple("xyz"[:rng.choice([2, 3])]), LOCAL)
+        v = random_poly(rng, r, max_terms=2, max_exp=2)
+        unit = r.constant(1) + v - r.constant(v.constant_coeff())
+        gens = [lead_times_unit(rng, r, unit) for _ in range(rng.randint(2, 4))]
+        try:
+            b = complete_basis(gens, step_cap=4000)
+            assert s_pairs_reduce_to_zero(b, step_cap=20000), (p, gens)
+        except EngineLimitError:
+            continue
+        bases += 1
+        length = standard_monomial_count(b)
+        if length not in (0, INFINITE):
+            assert truncation_length_oracle(IdealPresentation(gens)) in (UNSTABLE, length), (p, gens)
+            compared += 1
+    assert any(guarded) and compared >= 20
+
+
 # The J^[p] of two E_8 germs at p = 3 after a linear change of coordinates,
 # as `python3 perfbench/coords.py` prints them.  Their completions fit the
 # benchmark's step cap only with the Gebauer-Moeller pair criteria.
@@ -364,6 +430,30 @@ def test_coords_bracket_completes_under_benchmark_cap(label):
     bracket = bracket_ideal(jacobian_ideal(germ), germ)
     basis = complete_basis(bracket.local().gens, step_cap=20000)
     assert standard_monomial_count(basis) == truncation_length_oracle(bracket) == length
+
+
+# The E_8^2 germ at p = 3 after the change of coordinates [[1,0,2],[1,1,2],
+# [1,2,1]], as `python3 perfbench/coords.py` prints it.
+COORDS_E8_2_P3 = (
+    "x*x*x*x*x+2*x*x*x*x*y+x*x*x*x*z+x*x*x*x+x*x*x*y*y+x*x*x*y*z+2*x*x*x*y+x*x*x*z*z"
+    "+2*x*x*x*z+x*x*x+x*x*y*y*y+x*x*y*y+2*x*x*z*z*z+x*x+2*x*y*y*y*y+x*y*y*y*z+x*y*y*z"
+    "+x*y*z*z*z+x*y+2*x*z*z*z*z+2*x*z*z*z+2*x*z+y*y*y*y*y+y*y*y*y*z+y*y*y*z*z+2*y*y*z*z*z"
+    "+y*y*z*z+y*y+2*y*z*z*z*z+y*z*z*z+y*z+2*z*z*z*z*z+z*z*z*z+2*z*z*z+z*z")
+
+
+def coords_e8_2_permuted_p3_local():
+    # The permuted ideal (f_x, f_z, f) of INVERTIBLE_SUMMAND.  Its leading
+    # ideal gains a pure power of z late, so most of its pairs are reduced
+    # before a corner is known.
+    germ = HypersurfaceGerm(parse_poly(COORDS_E8_2_P3, lring(3)))
+    f_x, _, f_z, f = jacobian_ideal(germ).gens
+    return [f_x, f_z, f]
+
+
+def test_coords_e8_2_permuted_ideal_has_the_oracle_length():
+    gens = coords_e8_2_permuted_p3_local()
+    basis = complete_basis(gens, step_cap=20000)
+    assert standard_monomial_count(basis) == truncation_length_oracle(IdealPresentation(gens)) == 11
 
 
 # -- dimension and counting --------------------------------------------------
@@ -456,16 +546,25 @@ def e7_1_bracket_p3_local():
     return bracket_ideal(jacobian_ideal(germ), germ).local().gens
 
 
+def d7_2_bracket_p2_local():
+    # Many coprime pairs: the product criterion skips them locally too.
+    germ = instantiate("D", 7, 2, 2).germ()
+    return bracket_ideal(jacobian_ideal(germ), germ).local().gens
+
+
 # The ids leave out the pinned values, so that re-pinning keeps the test ids.
 @pytest.mark.parametrize("make_gens, need", [
     pytest.param(e8_1_bracket_p5_local, 1532, id="e8_1_bracket_p5_local"),
     pytest.param(e7_1_jacobian_p3_global, 17, id="e7_1_jacobian_p3_global"),
     pytest.param(e7_1_bracket_p3_local, 30, id="e7_1_bracket_p3_local"),
+    pytest.param(d7_2_bracket_p2_local, 19, id="d7_2_bracket_p2_local"),
+    pytest.param(coords_e8_2_permuted_p3_local, 687, id="coords_e8_2_permuted_p3_local"),
 ])
 def test_completion_work_is_pinned(make_gens, need):
-    # The exact work of three completions, one per ordering and one whose
-    # corner falls below queued pairs, which must cost nothing.  A change to
-    # pair selection, reduction or truncation that moves it must say why.
+    # The exact work of five completions: one per ordering, one whose
+    # corner falls below queued pairs, which must cost nothing, and two
+    # local ones with coprime pairs.  A change to pair selection, reduction
+    # or truncation that moves it must say why.
     gens = make_gens()
     complete_basis(gens, step_cap=need)
     with pytest.raises(EngineLimitError):
