@@ -74,44 +74,47 @@ LM(nf), of degree < D, would be a leading monomial of I*O + m^D = I*O.
 Mora's selection and joins buy a termination that the corner already
 gives, so they run only before a corner is known.
 
-Product criterion.  Under both orderings the completion skips the pair of
-monic f = LM(f) + t_f and g = LM(g) + t_g when their leading monomials
-are coprime, unless LM(t_f)*LM(g) = LM(t_g)*LM(f).  The S-polynomial is
+Product criterion.  Under both orderings the completion never queues the
+pair of monic f = LM(f) + t_f and g = LM(g) + t_g when their leading
+monomials are coprime, unless LM(t_f)*LM(g) = LM(t_g)*LM(f), a test made
+once, in the update of rules F and M below.  The S-polynomial is
 s = LM(g)*f - LM(f)*g = t_f*g - t_g*f, and both products lead below lcm =
-LM(f)*LM(g).  When their leading monomials differ, the larger one is
-LM(s), so s = t_f*g - t_g*f is a standard representation; when f or g is
-a monomial, one product is zero and the other is s.  That is all that the
+LM(f)*LM(g).  When their leading monomials differ, the larger one is LM(s),
+so s = t_f*g - t_g*f is a standard representation; when f or g is a
+monomial, one product is zero and the other is s.  That is all that the
 direct proof modulo m^D below needs, for every D, so it covers completions
 with no corner as well.  On packed keys the test is one compare, of
-g.keys[0] + f.keys[1] with f.keys[0] + g.keys[1].  As the leading
-monomials are coprime, the products can coincide only when LM(f) |
-LM(t_f) and LM(g) | LM(t_g).  Under a well-ordering a tail monomial is
-smaller than the leading one and so never a multiple of it, and the test
-always passes.  Under the local ordering it can fail, as for x + x*z and
-y + 2*y*z, whose products both lead at x*y*z, and then the pair is
-reduced.  A corner's cut only drops tail terms, so a pair that passes the
-test keeps passing, and one whose tail is cut away entirely passes.
+g.keys[0] + f.keys[1] with f.keys[0] + g.keys[1].  As the leading monomials
+are coprime, the products can coincide only when LM(f) | LM(t_f) and
+LM(g) | LM(t_g).  Under a well-ordering a tail monomial is smaller than
+the leading one and so never a multiple of it, and the test always passes.
+Under the local ordering it can fail, as for x + x*z and y + 2*y*z, whose
+products both lead at x*y*z, and then the pair is reduced.  A corner that
+falls later only drops tail terms, so a pair that passed would pass again
+on the cut elements; one whose tail a cut removes entirely would pass only
+then, and is reduced, which is sound for any pair.
 
 Chain criterion.  Under both orderings the completion drops pairs by the
 Gebauer-Moeller rules (On an installation of Buchberger's algorithm, JSC
-1988).  When element k joins the basis, it queues none of (M) the new
-pairs (i, k) whose lcm is a proper multiple of another new pair's, and
-(F) all but one new pair per lcm.  When a pair (i, j) is popped, it is
-dropped under (B) if some later element k > j has LM(k) | lcm(i, j) and
-lcm(i, k) != lcm(i, j) != lcm(j, k).  Leading monomials never change
-during the completion, so B at pop time drops exactly the queued pairs
-that the classical update drops as each k joins.  Each rule is an
-identity among the syzygies s_ij = (lcm(i, j)/LT(g_i)) e_i -
-(lcm(i, j)/LT(g_j)) e_j of the leading terms, which involves divisibility and no ordering: under B, s_ij is a
+1988).  When element k joins the basis, it queues none of (M) the new pairs
+(i, k) whose lcm is a proper multiple of another new pair's, (F) all but
+one new pair per lcm, and none of an lcm for which a new pair passes the
+product criterion, as that pair stands for the lcm; M prunes with every lcm
+that F keeps.  When a pair (i, j) is popped, it is dropped under (B) if some
+later element k > j has LM(k) | lcm(i, j) and lcm(i, k) != lcm(i, j) !=
+lcm(j, k).  Leading monomials never change during the completion, so B at
+pop time drops exactly the queued pairs that the classical update drops as
+each k joins.  Each rule is an identity among the syzygies
+s_ij = (lcm(i, j)/LT(g_i)) e_i - (lcm(i, j)/LT(g_j)) e_j of the leading
+terms, which involves divisibility and no ordering: under B, s_ij is a
 combination of monomial multiples of s_ik and s_jk, whose lcms properly
 divide lcm(i, j); under M, the dropped s_ik is one of s_jk, whose lcm
 properly divides lcm(i, k), and of s_ij, whose lcm divides it and whose
-larger index is below k; under F, the dropped s_jk is one of the kept
-s_ik and of s_ij, whose lcm divides lcm(i, k).  By induction over the lcm,
-ordered by divisibility, and then the larger index, the pairs that are
-reduced, or skipped by the product criterion or at the corner, have
-syzygies that generate those of all pairs, and so all syzygies of the
-leading terms.
+larger index is below k; under F, the dropped s_jk is one of the kept (or
+settled) s_ik and of s_ij, whose lcm divides lcm(i, k).  By induction over
+the lcm, ordered by divisibility, and then the larger index, the pairs that
+are reduced, or skipped by the product criterion or at the corner, have
+syzygies that generate all syzygies of the leading terms.
 
 That this suffices is Buchberger's criterion in its syzygy form: if every
 pair of such a generating set has an S-polynomial with a standard
@@ -474,8 +477,10 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     the local ordering it sweeps the staircase of the leading monomials
     and, when the corner falls, cuts and records the whole basis afresh;
     then it queues the element's pairs with the earlier ones under rules F
-    and M (module docstring).  Rule M is `_minimal` over the new lcms by
-    increasing degree, once those at or above the corner have been dropped.
+    and M and the product criterion, each pair tested once (module
+    docstring).  Rule M is `_minimal` over the lcms F keeps by increasing
+    degree, those at or above the corner dropped; an lcm it keeps is queued
+    unless a new pair of it passes the product criterion.
 
     Pair selection is the normal strategy: minimal lcm degree first, ties
     broken by the lcm monomial and the pair indices for reproducibility.
@@ -490,7 +495,7 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     when the corner fell.  Rule B is applied to a pair (i, j) when it is
     popped, against every element k > j: leading monomials never change,
     so this drops the pairs that an update as each k joins would drop, and
-    a dropped pair costs nothing.
+    a dropped pair costs nothing; any other pair is charged and reduced.
     """
     gens = list(gens)
     if not gens:
@@ -518,19 +523,21 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
             if stair[1] is not None and (corner is None or stair[1] < corner):
                 corner = stair[1]
                 basis[:] = [_reducer(_cut_at(r[1], corner)) for r in basis]
-        k, ek = len(basis) - 1, basis[-1][2]
-        lcms = [ring.record_lcm(r[2], ek) for r in basis[:k]]
-        # F: one new pair per lcm, one that the product criterion skips if
-        # there is one, else the first.
-        kept = {}
-        for i, lcm in enumerate(lcms):
-            if lcm not in kept or _product_criterion(basis[i][1], basis[k][1], lcm, basis[i][2] + ek):
-                kept[lcm] = i
-        # M: no new pair whose lcm is a proper multiple of another's.  By
-        # increasing degree, it suffices to test the lcms kept so far.
+        k, (_, gk, ek) = len(basis) - 1, basis[-1]
+        # F: the first new pair per lcm; an lcm that the product criterion
+        # settles for any of its new pairs is not queued.
+        kept, settled = {}, set()
+        for i, (_, gi, ei) in enumerate(basis[:k]):
+            lcm = ring.record_lcm(ei, ek)
+            kept.setdefault(lcm, i)
+            if _product_criterion(gi, gk, lcm, ei + ek):
+                settled.add(lcm)  # s = t_i*g_k - t_k*g_i is a standard representation
+        # M: no new pair whose lcm is a proper multiple of another kept one's,
+        # settled or not; by increasing degree, testing those kept suffices.
         below = [lcm for lcm in sorted(kept, key=deg) if corner is None or deg(lcm) < corner]
         for lcm in _minimal(below, ring):
-            heapq.heappush(queue, (deg(lcm), ring.record_key(lcm), k, kept[lcm], lcm))
+            if lcm not in settled:
+                heapq.heappush(queue, (deg(lcm), ring.record_key(lcm), k, kept[lcm], lcm))
 
     for g in _prepare(gens):
         add(g)
@@ -548,8 +555,6 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
                for _, _, e in basis[j + 1:]):
             continue  # costs nothing
         budget.spend()
-        if _product_criterion(gi, gj, lcm, ei + ej):
-            continue  # s = t_i*g_j - t_j*g_i is a standard representation
         h = _reduce(_pair(gi, gj), basis, budget, corner)
         if not h.is_zero:
             add(h.monic())  # truncated, so its leading monomial has degree < corner

@@ -397,11 +397,9 @@ class _OracleRun:
         return math.comb(d - 1 + self.n, self.n) - bisect_left(self.pivots, d * self.unit)
 
     def pure_power_in_span(self, var: int, through: int) -> bool:
-        # through < workdeg, so each power x_var^e is a column.
-        for e in range(1, through + 1):
-            if self.ech.member({e * self.weights[var]: 1}):
-                return True
-        return False
+        # The row space is the ideal (I + m^D)/m^D of R/m^D, and through < D:
+        # it holds some x_var^e, e <= through, just when it holds x_var^through.
+        return self.ech.member({through * self.weights[var]: 1})
 
     def next_workdeg(self, step: int) -> int:
         """The working degree to try after this run found no stabilization:

@@ -49,24 +49,24 @@ So the reduction loop and the pair bookkeeping of `gbasis` multiply,
 divide and take lcms on ints and build no exponent tuple.
 
 A Polynomial carries only keys and coefficients, from the parser to the
-engine: `terms` is decoded from the keys the first time a reader asks
-for it, and kept.  Of its readers only `terms`, `lm` and `render` decode
-keys; `Ring.poly`, `coeff` and `term_mul` encode the exponent tuples they
-are given, and the rest reads keys.  The parser carries {key: coefficient}
-dicts, and `product_terms`, the one product of the parser and of
-`Polynomial.__mul__`, adds keys and reads its exponent bound off the
-lcms of its factors; `partial` shifts the keys it keeps, as division by
-a variable keeps the term order.  Addition and subtraction sum the
-terms in a dict keyed by the keys, as the reduction loop of `gbasis`
-sums its working polynomial, and
-`_from_keyed`, the one builder from such a dict, sorts it back into a
-Polynomial; `term_mul` shifts the keys by one addition per term, `tail`
-and `gbasis._cut_at` slice them, and the reduction loop shifts the kept
-prefix of a reducer's keys where they lie, without a copy.  The keys and
-coefficients are lists that nothing mutates, not tuples: CPython keeps a
-dead tuple shorter than 20 on a free list for its length, up to 2000 of
-them, and as tuples the keys raised the peak resident memory of a round
-of the `coords` benchmark workload by 0.7 MB (CPython 3.11 on Linux).
+engine: `terms` is decoded from the keys each time a reader asks for it,
+and nothing decoded is kept.  Of its readers only `terms`, `lm` and
+`render` decode keys; `Ring.poly`, `coeff` and `term_mul` encode the
+exponent tuples they are given, and the rest reads keys.  The parser
+carries {key: coefficient} dicts, and `product_terms`, the one product of
+the parser and of `Polynomial.__mul__`, adds keys and reads its exponent
+bound off the lcms of its factors; `partial` shifts the keys it keeps, as
+division by a variable keeps the term order.  Addition and subtraction
+sum the terms in a dict keyed by the keys, as the reduction loop of
+`gbasis` sums its working polynomial, and `_from_keyed`, the one builder
+from such a dict, sorts it back into a Polynomial; `term_mul` shifts the
+keys by one addition per term, `gbasis._cut_at` slices them, and the
+reduction loop shifts the kept prefix of a reducer's keys where they lie,
+without a copy.  The keys and coefficients are lists that nothing
+mutates, not tuples: CPython keeps a dead tuple shorter than 20 on a free
+list for its length, up to 2000 of them, and as tuples the keys raised
+the peak resident memory of a round of the `coords` benchmark workload by
+0.7 MB (CPython 3.11 on Linux).
 """
 
 from __future__ import annotations
@@ -304,23 +304,20 @@ class Polynomial:
 
     Construct through Ring.poly / Ring.constant / parse_poly rather than
     directly: the keys are trusted to be canonical and the coefficients
-    to match them.  The terms are decoded from the keys when first read.
+    to match them.  The terms are decoded from the keys at each read.
     """
 
-    __slots__ = ("ring", "keys", "coeffs", "_terms")
+    __slots__ = ("ring", "keys", "coeffs")
 
     def __init__(self, ring: Ring, keys: List[int], coeffs: List[int]):
         self.ring = ring
         self.keys = keys
         self.coeffs = coeffs
-        self._terms = None
 
     @property
     def terms(self) -> Tuple[Tuple[Mono, int], ...]:
-        """The (monomial, coefficient) pairs, decoded once."""
-        if self._terms is None:
-            self._terms = tuple(zip(map(self.ring.mono, self.keys), self.coeffs))
-        return self._terms
+        """The (monomial, coefficient) pairs, decoded from the keys."""
+        return tuple(zip(map(self.ring.mono, self.keys), self.coeffs))
 
     # -- basic queries ----------------------------------------------------
 

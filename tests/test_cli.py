@@ -107,7 +107,7 @@ def test_bad_characteristic_is_usage_error(capsys):
 
 def test_engine_limit_exit_code(capsys):
     code, out, err = run(capsys, "analyze", "--char", "2",
-                         "--poly", "z^2+x^3+y^5+y^3*z", "--step-cap", "3")
+                         "--poly", "z^2+x^3+y^5+y^3*z", "--step-cap", "1")
     assert code == 3
     # No partial report: perfbench/checks.py counts an exit 3 with empty
     # stdout as a failed germ, and a report without its lengths as wrong.
@@ -202,10 +202,10 @@ def test_classify_char2_summary(capsys):
 
 
 def test_classify_char2_fits_the_work_gate(capsys):
-    # The largest single completion of the D_n^r sweep up to n = 30 at
-    # p = 2 spends 65 units of work; a completion over this cap exits 3.
+    # The largest single completion of the sweep up to n = 30 at p = 2
+    # spends 46 units of work; a completion over this cap exits 3.
     code, payload, _ = run_json(capsys, "classify", "--char", "2", "--max-n", "30",
-                                "--step-cap", "100")
+                                "--step-cap", "60")
     assert code == 0
     assert payload["all_match"] is True
 

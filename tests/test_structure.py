@@ -105,3 +105,21 @@ def test_the_engine_decodes_monomials_only_where_it_returns_tuples():
     allowed = {"StandardBasis.leading_monomials", "leading_ideal"}
     assert set(_decoding_reads(tree, "", set())) >= {("StandardBasis.leading_monomials", "lm")}
     assert sorted(set(_decoding_reads(tree, "", allowed))) == []
+
+
+def _reads_of(tree, name, scope=""):
+    """The scope, a qualified function name, of each read of the bare name
+    below tree."""
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        elif isinstance(child, ast.Name) and child.id == name and isinstance(child.ctx, ast.Load):
+            yield scope
+        yield from _reads_of(child, name, inner)
+
+
+def test_the_product_criterion_is_decided_in_one_place():
+    # The pair update of complete_basis decides it, so a pair it skips is
+    # never queued; the pop loop does not test it again.
+    assert list(_reads_of(SOURCES["gbasis"], "_product_criterion")) == ["complete_basis.add"]
