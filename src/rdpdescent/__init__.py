@@ -15,10 +15,10 @@ from .errors import ConsistencyError, EngineLimitError, UsageError
 from .gbasis import (INFINITE, StandardBasis, complete_basis,
                      is_dimension_zero, leading_ideal, normal_form, spoly,
                      standard_monomial_count, s_pairs_reduce_to_zero)
-from .ideals import (UNSTABLE, HypersurfaceGerm, IdealPresentation,
-                     bracket_ideal, contains, is_parameter_ideal,
-                     jacobian_ideal, local_length, truncation_contains,
-                     truncation_length_oracle)
+from .ideals import (HypersurfaceGerm, IdealPresentation, bracket_ideal,
+                     contains, is_parameter_ideal, jacobian_ideal,
+                     local_length)
+from .oracle import UNSTABLE, truncation_contains, truncation_length_oracle
 from .parse import ParseError, parse_poly
 from .poly import Mono, OrderingTag, Polynomial, Ring, render
 

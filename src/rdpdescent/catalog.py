@@ -193,7 +193,8 @@ def instantiate(dynkin: str, n: int, r: Optional[int], char: int) -> Singularity
     """Concrete catalog record for the named class; raises UsageError with
     the valid range when the parameters do not exist for that characteristic."""
     if char not in _CATALOG_CHARS and dynkin != "A":
-        raise UsageError(f"co-indexed catalog types exist only for p in {_CATALOG_CHARS}")
+        chars = ", ".join(map(str, _CATALOG_CHARS))
+        raise UsageError(f"co-indexed catalog types exist only for p in {chars}")
     if dynkin == "A":
         if r is not None:
             raise UsageError("A_n carries no co-index")
@@ -213,7 +214,8 @@ def all_records(char: int, max_n: int = 12) -> List[SingularityRecord]:
     """Every catalog row for the characteristic: the full E list plus the
     A and D families enumerated up to max_n."""
     if char not in _CATALOG_CHARS:
-        raise UsageError(f"catalog covers characteristics {_CATALOG_CHARS}, got {char}")
+        chars = ", ".join(map(str, _CATALOG_CHARS))
+        raise UsageError(f"catalog covers characteristics {chars}; got {char}")
     if max_n < 1:
         raise UsageError("max_n must be positive")
     records = [_an_record(n, char) for n in range(1, max_n + 1)]

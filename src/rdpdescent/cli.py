@@ -39,8 +39,8 @@ from .gbasis import DEFAULT_STEP_CAP
 # hands work to the ideal layer (pinned by tests/test_cli.py::
 # test_traced_runs_find_every_name_the_benchmark_wraps).
 from .ideals import (HypersurfaceGerm, IdealPresentation, bracket_ideal,  # noqa: F401
-                     jacobian_ideal, length_tag, local_length,
-                     truncation_length_oracle, DEFAULT_DEGREE_CAP, UNSTABLE)
+                     jacobian_ideal, length_tag, local_length)
+from .oracle import DEFAULT_DEGREE_CAP, UNSTABLE, truncation_length_oracle
 from .parse import ParseError, parse_poly
 from .poly import OrderingTag, Ring, render
 

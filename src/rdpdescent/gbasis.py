@@ -301,7 +301,7 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, int]], reducers: Sequence[tupl
     irreducible leading term moves to the remainder, which makes the
     result fully reduced.  With a corner D, a multiple c*m*g takes only
     the terms of g of degree below D - deg m, by the cut rule of
-    `_cut_at`, and only those are checked for exponent overflow.
+    `_kept_below`, and only those are checked for exponent overflow.
     Against no reducers the loop returns the seeded sum.  A caller that
     reduces against the same elements many times builds their records once.
 
@@ -541,8 +541,6 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
 
     for g in _prepare(gens):
         add(g)
-    if not basis:
-        return StandardBasis((), ring)
 
     while queue:
         d, _, j, i, lcm = heapq.heappop(queue)

@@ -18,6 +18,7 @@ from rdpdescent.criteria import FAIL, PASS, length_formula, pi1_trivial, \
     pic_torsion_p_group, tjurina_p_divisible
 from rdpdescent.catalog import instantiate, table_records
 from rdpdescent.errors import EngineLimitError
+from test_gbasis import random_poly
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
@@ -213,17 +214,6 @@ def test_acceptance_09_oracle_equivalence():
            "catalog-derived dimension-zero ideals")
 
 
-def random_poly(rng, ring, max_terms=3, max_exp=3, nonzero=False):
-    terms = {}
-    for _ in range(rng.randrange(1 if nonzero else 0, max_terms + 1)):
-        mono = tuple(rng.randrange(max_exp + 1) for _ in range(ring.nvars))
-        terms[mono] = rng.randrange(1, ring.p) if nonzero else rng.randrange(ring.p)
-    f = ring.poly(terms)
-    if nonzero and f.is_zero:
-        f = ring.one()
-    return f
-
-
 def test_acceptance_10_property_suites():
     rng = random.Random(1009)
     counts = {"spair": 0, "idem": 0, "leibniz": 0, "dpower": 0, "roundtrip": 0}
@@ -232,12 +222,12 @@ def test_acceptance_10_property_suites():
         p = rng.choice([2, 3, 5])
         ordering = rng.choice(list(OrderingTag))
         ring = Ring(p, tuple("xyz"[:rng.choice([2, 3])]), ordering)
-        gens = [random_poly(rng, ring, nonzero=True) for _ in range(rng.choice([2, 3]))]
+        gens = [random_poly(rng, ring, 3, 3, nonzero=True) for _ in range(rng.choice([2, 3]))]
         try:
             basis = complete_basis(gens, step_cap=4000)
             assert s_pairs_reduce_to_zero(basis, step_cap=20000)
             counts["spair"] += 1
-            f = random_poly(rng, ring, max_terms=4, max_exp=4)
+            f = random_poly(rng, ring, 4, 4, nonzero=False)
             nf = normal_form(f, basis)
             assert normal_form(nf, basis) == nf
             counts["idem"] += 1
@@ -247,7 +237,7 @@ def test_acceptance_10_property_suites():
     while counts["leibniz"] < 200:
         p = rng.choice([2, 3, 5])
         ring = Ring(p, ("x", "y", "z"), rng.choice(list(OrderingTag)))
-        f, g = random_poly(rng, ring, 5, 4), random_poly(rng, ring, 5, 4)
+        f, g = random_poly(rng, ring, 5, 4, nonzero=False), random_poly(rng, ring, 5, 4, nonzero=False)
         for i in range(3):
             assert (f * g).partial(i) == f * g.partial(i) + g * f.partial(i)
         counts["leibniz"] += 1
@@ -255,7 +245,7 @@ def test_acceptance_10_property_suites():
     while counts["dpower"] < 200:
         p = rng.choice([2, 3, 5])
         ring = Ring(p, ("x", "y"), OrderingTag.GLOBAL_DEGREVLEX)
-        fp = random_poly(rng, ring, 4, 3).frobenius(1)
+        fp = random_poly(rng, ring, 4, 3, nonzero=False).frobenius(1)
         assert fp.partial(0).is_zero and fp.partial(1).is_zero
         counts["dpower"] += 1
 
@@ -263,7 +253,7 @@ def test_acceptance_10_property_suites():
         p = rng.choice([2, 3, 5, 7])
         ring = Ring(p, rng.choice([("x", "y"), ("x", "y", "z")]),
                     rng.choice(list(OrderingTag)))
-        f = random_poly(rng, ring, 6, 5)
+        f = random_poly(rng, ring, 6, 5, nonzero=False)
         assert parse_poly(render(f), ring) == f
         counts["roundtrip"] += 1
 

@@ -174,6 +174,14 @@ def test_tables_rejects_characteristic_seven(capsys):
     assert note["message"] == "tables exist for characteristics 2, 3, 5; got 7"
 
 
+def test_classify_rejects_characteristic_seven(capsys):
+    code, out, err = run(capsys, "classify", "--char", "7")
+    assert code == 2
+    note = json.loads(err.splitlines()[0])
+    assert note["error"] == "usage error"
+    assert note["message"] == "catalog covers characteristics 2, 3, 5; got 7"
+
+
 def test_tables_max_n_below_every_row_is_its_own_usage_error(capsys):
     code, out, err = run(capsys, "tables", "--char", "2", "--max-n", "5", "--json")
     assert code == 2

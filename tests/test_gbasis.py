@@ -14,9 +14,8 @@ from rdpdescent import gbasis
 from rdpdescent.catalog import instantiate
 from rdpdescent.errors import UsageError
 from rdpdescent.gbasis import _Budget, _reduce, _reducer
-from rdpdescent.ideals import (UNSTABLE, HypersurfaceGerm, IdealPresentation, _OracleRun,
-                               bracket_ideal, jacobian_ideal, truncation_contains,
-                               truncation_length_oracle)
+from rdpdescent.ideals import HypersurfaceGerm, IdealPresentation, bracket_ideal, jacobian_ideal
+from rdpdescent.oracle import UNSTABLE, _OracleRun, truncation_contains, truncation_length_oracle
 from rdpdescent.poly import inv_mod, mono_deg
 
 GLOBAL = OrderingTag.GLOBAL_DEGREVLEX
@@ -50,11 +49,13 @@ def basis_of(srcs, ring):
     return complete_basis([parse_poly(s, ring) for s in srcs])
 
 
-def random_poly(rng, ring, max_terms=3, max_exp=3):
+def random_poly(rng, ring, max_terms=3, max_exp=3, nonzero=True):
+    """Up to max_terms terms with exponents up to max_exp; nonzero draws at
+    least one term and only nonzero coefficients."""
     terms = {}
-    for _ in range(rng.randrange(1, max_terms + 1)):
+    for _ in range(rng.randrange(1 if nonzero else 0, max_terms + 1)):
         mono = tuple(rng.randrange(max_exp + 1) for _ in range(ring.nvars))
-        terms[mono] = rng.randrange(1, ring.p)
+        terms[mono] = rng.randrange(1, ring.p) if nonzero else rng.randrange(ring.p)
     return ring.poly(terms)
 
 

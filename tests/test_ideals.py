@@ -18,7 +18,7 @@ from rdpdescent import (INFINITE, HypersurfaceGerm, IdealPresentation,
                         jacobian_ideal, local_length, parse_poly,
                         truncation_contains, truncation_length_oracle)
 from rdpdescent.catalog import table_records
-from rdpdescent.ideals import DEFAULT_DEGREE_CAP, _Echelon, _oracle_run, _OracleRun
+from rdpdescent.oracle import DEFAULT_DEGREE_CAP, _Echelon, _oracle_run, _OracleRun
 
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
@@ -293,13 +293,13 @@ def log_oracle_runs(monkeypatch):
     """The working degree of every _OracleRun construction, logged through
     the module attribute that _oracle_run looks up."""
     workdegs = []
-    real_run = rdpdescent.ideals._OracleRun
+    real_run = rdpdescent.oracle._OracleRun
 
     def logged_run(gens, workdeg):
         workdegs.append(workdeg)
         return real_run(gens, workdeg)
 
-    monkeypatch.setattr(rdpdescent.ideals, "_OracleRun", logged_run)
+    monkeypatch.setattr(rdpdescent.oracle, "_OracleRun", logged_run)
     return workdegs
 
 

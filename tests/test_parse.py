@@ -5,6 +5,7 @@ import pytest
 
 from rdpdescent import OrderingTag, ParseError, Ring, parse_poly, render
 from rdpdescent.parse import MAX_DEPTH
+from test_gbasis import random_poly
 
 
 def ring(p=2, names=("x", "y", "z"), ordering=OrderingTag.LOCAL_NEG_DEGREVLEX):
@@ -204,14 +205,6 @@ def test_scanning_is_lazy():
     assert peak < 2 ** 20
 
 
-def random_poly(rng, r, max_terms=6, max_exp=5):
-    terms = {}
-    for _ in range(rng.randrange(max_terms + 1)):
-        mono = tuple(rng.randrange(max_exp + 1) for _ in range(r.nvars))
-        terms[mono] = rng.randrange(r.p)
-    return r.poly(terms)
-
-
 def test_parse_render_round_trip_random():
     rng = random.Random(2718)
     count = 0
@@ -220,6 +213,6 @@ def test_parse_render_round_trip_random():
         names = rng.choice([("x",), ("x", "y"), ("x", "y", "z"), ("u", "v", "w")])
         ordering = rng.choice(list(OrderingTag))
         r = Ring(p, names, ordering)
-        f = random_poly(rng, r)
+        f = random_poly(rng, r, 6, 5, nonzero=False)
         assert parse_poly(render(f), r) == f
         count += 1

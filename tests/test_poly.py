@@ -4,6 +4,7 @@ import pytest
 
 from rdpdescent import OrderingTag, Ring, UsageError, parse_poly, render
 from rdpdescent.poly import MAX_EXPONENT, mono_deg
+from test_gbasis import random_poly
 
 GLOBAL = OrderingTag.GLOBAL_DEGREVLEX
 LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
@@ -11,14 +12,6 @@ LOCAL = OrderingTag.LOCAL_NEG_DEGREVLEX
 
 def ring2(ordering=LOCAL):
     return Ring(2, ("x", "y", "z"), ordering)
-
-
-def random_poly(rng, ring, max_terms=5, max_exp=4):
-    terms = {}
-    for _ in range(rng.randrange(max_terms + 1)):
-        mono = tuple(rng.randrange(max_exp + 1) for _ in range(ring.nvars))
-        terms[mono] = rng.randrange(ring.p)
-    return ring.poly(terms)
 
 
 # -- arithmetic ------------------------------------------------------------
@@ -67,7 +60,7 @@ def test_arithmetic_matches_field_reference():
         p = rng.choice([2, 3, 5, 7])
         field = GF(p, symmetric=False)
         r = Ring(p, ("x", "y"), rng.choice([GLOBAL, LOCAL]))
-        f, g = random_poly(rng, r), random_poly(rng, r)
+        f, g = random_poly(rng, r, 5, 4, nonzero=False), random_poly(rng, r, 5, 4, nonzero=False)
         ref = {}
         for mf, cf in f.terms:
             for mg, cg in g.terms:
@@ -111,7 +104,7 @@ def test_leibniz_rule_random():
     while checked < 200:
         p = rng.choice([2, 3, 5])
         r = Ring(p, ("x", "y", "z"), rng.choice([GLOBAL, LOCAL]))
-        f, g = random_poly(rng, r), random_poly(rng, r)
+        f, g = random_poly(rng, r, 5, 4, nonzero=False), random_poly(rng, r, 5, 4, nonzero=False)
         for i in range(3):
             assert (f * g).partial(i) == f * g.partial(i) + g * f.partial(i)
         checked += 1
@@ -122,7 +115,7 @@ def test_derivative_of_pth_power_vanishes():
     for _ in range(200):
         p = rng.choice([2, 3, 5])
         r = Ring(p, ("x", "y"), GLOBAL)
-        f = random_poly(rng, r, max_terms=4, max_exp=3)
+        f = random_poly(rng, r, 4, 3, nonzero=False)
         fp = f.frobenius(1)
         for i in range(2):
             assert fp.partial(i).is_zero
@@ -147,7 +140,7 @@ def test_frobenius_equals_repeated_multiplication():
     for _ in range(200):
         p = rng.choice([2, 3, 5])
         r = Ring(p, ("x", "y"), rng.choice([GLOBAL, LOCAL]))
-        f = random_poly(rng, r, max_terms=4, max_exp=3)
+        f = random_poly(rng, r, 4, 3, nonzero=False)
         power = r.one()
         for _ in range(p):
             power = power * f

@@ -40,48 +40,30 @@ def test_every_private_helper_is_used():
     assert dead == []
 
 
-def _names_read(node):
-    """The bare names that code in node reads, outside type annotations."""
-    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-        yield node.id
-    for field, value in ast.iter_fields(node):
-        if field in ("annotation", "returns"):
-            continue
-        for child in value if isinstance(value, list) else [value]:
-            if isinstance(child, ast.AST):
-                yield from _names_read(child)
-
-
-def test_the_truncation_oracle_loads_nothing_from_the_engine():
-    tree = SOURCES["ideals"]
-    engine = set()
-    for node in tree.body:
+def _imports(module):
+    """{sibling module: the names taken from it} for every relative import
+    in module's source; `from . import m` takes "*" from m."""
+    taken = {}
+    for node in ast.walk(SOURCES[module]):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
-            if node.module == "gbasis":
-                engine.update(alias.asname or alias.name for alias in node.names)
-            elif node.module is None:
-                engine.update(alias.asname or alias.name for alias in node.names
-                              if alias.name == "gbasis")
-    assert "complete_basis" in engine
-    defined = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            defined[node.name] = node
-        elif isinstance(node, ast.Assign):
-            defined.update((t.id, node) for t in node.targets if isinstance(t, ast.Name))
-    # The oracle is what its two entry points reach through the module's
-    # own definitions; none of those may read a name taken from gbasis.
-    reached, todo = set(), ["truncation_length_oracle", "truncation_contains"]
+            for alias in node.names:
+                sibling, name = (node.module, alias.name) if node.module else (alias.name, "*")
+                taken.setdefault(sibling, set()).add(name)
+    return taken
+
+
+def test_the_truncation_oracle_and_the_engine_share_no_code():
+    # The oracle is the engine's independent check, so neither route may
+    # load the other's code; ideals takes only the oracle's answers.
+    reached, todo = set(), ["oracle"]
     while todo:
-        name = todo.pop()
-        if name in reached:
-            continue
-        reached.add(name)
-        read = set(_names_read(defined[name]))
-        used = sorted(read & engine)
-        assert used == [], f"{name} loads {used} from gbasis"
-        todo.extend(read & defined.keys())
-    assert {"_oracle_run", "_OracleRun", "_Echelon"} <= reached
+        new = set(_imports(todo.pop())) - reached
+        reached |= new
+        todo += new
+    assert sorted(reached & {"gbasis", "ideals", "criteria"}) == []
+    assert "oracle" not in _imports("gbasis")
+    assert "oracle" not in _imports("criteria")
+    assert _imports("ideals")["oracle"] == {"UNSTABLE", "truncation_length_oracle"}
 
 
 def _decoding_reads(node, name, allowed):
