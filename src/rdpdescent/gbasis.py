@@ -38,24 +38,26 @@ m^D in I*O + m^(D+1), and Nakayama's lemma gives m^D in I*O.
 
 From then on the completion works modulo m^D, which changes nothing in
 O/I*O: it runs on S together with the implicit monomial generators of
-degree D.  Dropping a term of degree >= D from an S-polynomial, an
-intermediate remainder or a stored basis element is a reduction of that
-term by the degree-D monomial dividing it; an element whose leading
-monomial has degree >= D is replaced by that monomial.  An S-pair whose
-lcm has degree >= D is skipped: every term of g has degree >= deg LM(g),
-so every term of (lcm/LM(g))*g, and of the S-polynomial, has degree >=
-deg(lcm) >= D, and the S-polynomial reduces to zero by the monomial
-generators alone.  Pairs with a monomial generator vanish for the same
-reason.  D only falls as the leading ideal grows, and every new element is
-truncated below D, so its leading monomial can lower D: the corner is
-re-read after each new element.  A `StandardBasis` reads its `corner` off
-its own leading monomials (for a completed basis, the completion's last
-sweep of the same leading ideal), and normal forms against it truncate in
-the same way.  The argument needs only S inside the ideal, not S standard,
-so the S-pair self-check truncates at the corner it reads off the basis
-itself.  The corner is None under the global ordering, where nothing is
-truncated, and when some variable has no pure power (the quotient is not
-Artinian at the origin, or not yet known to be).
+degree D.  Dropping a term of degree >= D from an S-polynomial or an
+intermediate remainder is a reduction of that term by the degree-D
+monomial dividing it.  The cut is made where terms are read: `_reduce`
+adds only the terms of degree < D of each multiple, so the basis stores
+each element once, as it entered, and `_minimalize` cuts the returned
+elements once, at the last corner.  An S-pair whose lcm has degree >= D
+is skipped: every term of g has degree >= deg LM(g), so every term of
+(lcm/LM(g))*g, and of the S-polynomial, has degree >= deg(lcm) >= D, and
+the S-polynomial reduces to zero by the monomial generators alone.  Pairs
+with a monomial generator vanish for the same reason.  D only falls as
+the leading ideal grows, and every S-pair remainder lies below D, so its
+leading monomial can lower D: the corner is re-read after each new
+element.  A `StandardBasis` reads its `corner` off its own leading
+monomials (for a completed basis, the completion's last sweep of the same
+leading ideal), and normal forms against it truncate in the same way.  The
+argument needs only S inside the ideal, not S standard, so the S-pair
+self-check truncates at the corner it reads off the basis itself.  The
+corner is None under the global ordering, where nothing is truncated, and
+when some variable has no pure power (the quotient is not Artinian at the
+origin, or not yet known to be).
 
 Division below the corner.  Modulo m^D the local ring is the finite
 algebra O/m^D = R/m^D, spanned by the C(D - 1 + n, n) monomials of degree
@@ -89,10 +91,13 @@ are coprime, the products can coincide only when LM(f) | LM(t_f) and
 LM(g) | LM(t_g).  Under a well-ordering a tail monomial is smaller than
 the leading one and so never a multiple of it, and the test always passes.
 Under the local ordering it can fail, as for x + x*z and y + 2*y*z, whose
-products both lead at x*y*z, and then the pair is reduced.  A corner that
-falls later only drops tail terms, so a pair that passed would pass again
-on the cut elements; one whose tail a cut removes entirely would pass only
-then, and is reduced, which is sound for any pair.
+products both lead at x*y*z, and then the pair is reduced.  Once a corner
+D is known the test reads each tail modulo m^D: a tail term of degree >= D
+is a multiple of a degree-D monomial generator, so the S-polynomials of
+f, g and of their parts below D differ by such multiples, and a tail with
+no term below D counts as none.  A corner that falls later could only let
+more pairs pass; those already queued are reduced, which is sound for any
+pair.
 
 Chain criterion.  Under both orderings the completion drops pairs by the
 Gebauer-Moeller rules (On an installation of Buchberger's algorithm, JSC
@@ -158,16 +163,19 @@ adds the |g| terms of its reducer multiple: the rest of h is left alone,
 O(|g| log |h|) work, where a merge of two sorted term tuples would cost
 O(|h| + |g|); before a corner is known, a reducer of positive ecart adds
 an O(|h|) scan for h's ecart.  The start is not charged, and a step's
-charge stays 1 + (|h| + |g|) // 8, read off the dict's size: the budget
-measures the size of the reduction, not how h happens to be held, so a cap
-is reached at the same step whatever the representation.
+charge stays 1 + (|h| + |g|) // 8, read off the dict's size, with |g|
+counted modulo m^D once a corner D is known (its terms of degree < D): the
+budget measures the size of the reduction, not how h or g happens to be
+held, so a cap is reached at the same step whatever the representation.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
+import operator
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import EngineLimitError, UsageError
@@ -247,13 +255,13 @@ class StandardBasis:
 
 def _kept_below(keys: Sequence[int], ring: Ring, bound: int) -> int:
     """The number of leading keys of degree below bound: the cut rule of
-    the corner.  The local ordering runs keys by increasing degree, so the
-    keys of degree >= bound are a suffix, and those before it are kept.
+    the corner.  The local ordering runs keys by increasing degree, and a
+    key has degree >= bound exactly when key <= -bound * 2^(32n) (`poly`
+    module docstring), so a bisection on the negated keys finds the cut
+    and a long uncut tail costs O(log |keys|).  `bisect`'s key= needs
+    Python 3.10, the project's floor.
     """
-    k = len(keys)
-    while k and ring.deg(keys[k - 1]) >= bound:
-        k -= 1
-    return k
+    return bisect.bisect_left(keys, bound << ring.shift, key=operator.neg)
 
 
 def _pair(f: Polynomial, g: Polynomial) -> tuple:
@@ -322,8 +330,9 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, int]], reducers: Sequence[tupl
     is known, an O(|h|) scan for h's ecart when the reducer's ecart is
     positive.  A joining h is recorded with a sorted Polynomial snapshot
     and the record of its leading monomial, so nothing is decoded, and
-    neither is the remainder.  The dict knows |h|, so `_Budget.step`
-    charges exactly what a merge of h and g is charged (module docstring).
+    neither is the remainder.  The dict knows |h|, and with a corner D the
+    reducer counts its terms of degree < D, so `_Budget.step` charges
+    exactly what a merge of h and g cut at D is charged (module docstring).
     """
     ring = seed[0][0].ring
     p, guards = ring.p, ring.guards
@@ -378,7 +387,7 @@ def _reduce(seed: Sequence[Tuple[Polynomial, int, int]], reducers: Sequence[tupl
             eh = ring.deg(min(h)) - ring.deg(lead)
             if ec > eh:
                 reducers.append((eh, _from_keyed(ring, h), e))
-        budget.step(len(h), len(g.keys))
+        budget.step(len(h), len(g.keys) if corner is None else _kept_below(g.keys, ring, corner))
         del h[lead]  # the multiple's leading term cancels it
         c = p - lc * inv_mod(g.coeffs[0], p) % p  # minus the multiple's coefficient
         add(g, c, lead - g.keys[0], 1)
@@ -459,8 +468,8 @@ def _staircase(records: Sequence[int], n: int) -> tuple:
 
 
 def _cut_at(g: Polynomial, corner: int) -> Polynomial:
-    """A basis element modulo m^corner: its terms of lower degree, or its
-    leading monomial alone when that has degree >= corner."""
+    """A returned basis element modulo m^corner: its terms of lower degree,
+    or its leading monomial alone when that has degree >= corner."""
     if g.ring.deg(g.keys[0]) >= corner:
         return Polynomial(g.ring, g.keys[:1], [1])
     k = _kept_below(g.keys, g.ring, corner)
@@ -473,14 +482,15 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
 
     Every element enters the basis through one step, `add`: the prepared
     generators in order, then each nonzero S-pair remainder.  The step
-    cuts the element at the current corner and appends its record; under
-    the local ordering it sweeps the staircase of the leading monomials
-    and, when the corner falls, cuts and records the whole basis afresh;
-    then it queues the element's pairs with the earlier ones under rules F
-    and M and the product criterion, each pair tested once (module
-    docstring).  Rule M is `_minimal` over the lcms F keeps by increasing
-    degree, those at or above the corner dropped; an lcm it keeps is queued
-    unless a new pair of it passes the product criterion.
+    appends the element's record, built once and never rebuilt; under the
+    local ordering it sweeps the staircase of the leading monomials and
+    reads the corner off the sweep; then it queues the element's pairs with
+    the earlier ones under rules F and M and the product criterion, each
+    pair tested once (module docstring).  No element is cut here, only the
+    multiples `_reduce` adds and the basis `_minimalize` returns.  Rule M
+    is `_minimal` over the lcms F keeps by increasing degree, those at or
+    above the corner dropped; an lcm it keeps is queued unless a new pair
+    of it passes the product criterion.
 
     Pair selection is the normal strategy: minimal lcm degree first, ties
     broken by the lcm monomial and the pair indices for reproducibility.
@@ -488,9 +498,8 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     j, i), on a binary heap; the indices make every rank unique, so the
     pop order is fully determined.  A pair whose lcm has degree >= corner
     is never queued.  When the corner falls, the queue is left as it is:
-    `_cut_at` keeps every leading monomial, so the ranks stay correct, and
-    since they lead with the lcm degree, pairs at or above the new corner
-    are the last in the queue.  The first one popped therefore ends the
+    since the ranks lead with the lcm degree, pairs at or above the new
+    corner are the last in the queue.  The first one popped therefore ends the
     completion, and it costs no work, as if the pairs had been dropped
     when the corner fell.  Rule B is applied to a pair (i, j) when it is
     popped, against every element k > j: leading monomials never change,
@@ -506,7 +515,7 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     budget = _Budget(step_cap)
     is_global = ring.ordering == OrderingTag.GLOBAL_DEGREVLEX
 
-    basis: List[tuple] = []  # reducer records (ecart, g, e); `_cut_at` keeps each e
+    basis: List[tuple] = []  # reducer records (ecart, g, e), each g stored once, uncut
     corner = stair = None  # stair: the last sweep of the lms, which the returned basis takes over
     # (deg lcm, key of lcm, j, i, lcm) for the pair (i, j), i < j; the
     # lcms are exponent records
@@ -515,14 +524,10 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
 
     def add(g):
         nonlocal corner, stair
-        if corner is not None:
-            g = _cut_at(g, corner)
         basis.append(_reducer(g))
         if not is_global:
             stair = _staircase([r[2] for r in basis], ring.nvars)
-            if stair[1] is not None and (corner is None or stair[1] < corner):
-                corner = stair[1]
-                basis[:] = [_reducer(_cut_at(r[1], corner)) for r in basis]
+            corner = stair[1]  # leading monomials are only added, so it only falls
         k, (_, gk, ek) = len(basis) - 1, basis[-1]
         # F: the first new pair per lcm; an lcm that the product criterion
         # settles for any of its new pairs is not queued.
@@ -530,7 +535,7 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
         for i, (_, gi, ei) in enumerate(basis[:k]):
             lcm = ring.record_lcm(ei, ek)
             kept.setdefault(lcm, i)
-            if _product_criterion(gi, gk, lcm, ei + ek):
+            if _product_criterion(gi, gk, lcm, ei + ek, corner):
                 settled.add(lcm)  # s = t_i*g_k - t_k*g_i is a standard representation
         # M: no new pair whose lcm is a proper multiple of another kept one's,
         # settled or not; by increasing degree, testing those kept suffices.
@@ -560,15 +565,17 @@ def complete_basis(gens: Sequence[Polynomial], step_cap: Optional[int] = None) -
     return _minimalize(basis, ring, budget, stair)
 
 
-def _product_criterion(f: Polynomial, g: Polynomial, lcm: int, product: int) -> bool:
+def _product_criterion(f: Polynomial, g: Polynomial, lcm: int, product: int, corner: Optional[int]) -> bool:
     """Whether the pair of f and g may be skipped: their leading monomials
     are coprime (lcm, the record of their lcm, equals product, the sum of
     their records), and LM(g)*LM(tail f) != LM(f)*LM(tail g), or one of
-    them has no tail (module docstring)."""
+    them has no tail below the corner (module docstring)."""
     if lcm != product:
         return False
     fk, gk = f.keys, g.keys
-    return len(fk) == 1 or len(gk) == 1 or gk[0] + fk[1] != fk[0] + gk[1]
+    if any(len(k) == 1 or corner is not None and f.ring.deg(k[1]) >= corner for k in (fk, gk)):
+        return True  # a monomial modulo m^corner
+    return gk[0] + fk[1] != fk[0] + gk[1]
 
 
 def _minimal(items: Sequence, ring: Ring, record=lambda e: e) -> list:
@@ -594,9 +601,11 @@ def _minimalize(basis: List[tuple], ring: Ring, budget: _Budget, stair) -> Stand
         for i in range(len(kept)):  # key(1) = 0
             kept[i] = _reducer(_reduce(((kept[i][1], 1, 0),), kept[:i] + kept[i + 1:], budget).monic())
     kept.sort(key=lambda r: r[1].keys[0], reverse=True)
+    corner = stair[1] if stair else None  # the completion's one cut, at its last corner
+    gens = tuple(r[1] if corner is None else _cut_at(r[1], corner) for r in kept)
     # The leading ideal is that of the completion, so its last sweep is the
     # basis's staircase; under the global ordering stair is None and it sweeps.
-    return StandardBasis(tuple(r[1] for r in kept), ring, _stair=stair)
+    return StandardBasis(gens, ring, _stair=stair)
 
 
 def s_pairs_reduce_to_zero(basis: StandardBasis, step_cap: Optional[int] = None) -> bool:

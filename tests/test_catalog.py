@@ -1,10 +1,11 @@
 import dataclasses
+import re
 
 import pytest
 
 from rdpdescent import UsageError, parse_poly, render
-from rdpdescent.catalog import (E6_0_CHAR2_NOTE, _validate, all_records, instantiate,
-                                pic_order_for, table_records)
+from rdpdescent.catalog import (E6_0_CHAR2_NOTE, _parse_line, _validate, all_records,
+                                instantiate, pic_order_for, table_records)
 
 
 def test_e_row_counts_per_characteristic():
@@ -136,3 +137,31 @@ def test_an_verdicts():
     assert instantiate("A", 5, None, 2).known_verdict == "BLOCKED"
     assert instantiate("A", 4, None, 5).known_verdict == "DESCENDS"
     assert instantiate("A", 8, None, 3).known_verdict == "DESCENDS"
+
+
+def test_a_catalog_line_needs_twelve_fields():
+    line = "E;6;0;2;z^2+x^3+y^2*z;C3;3;8;32;yes;BLOCKED"
+    with pytest.raises(UsageError, match="^malformed catalog line: 'E;6;0;2;"):
+        _parse_line(line)
+    assert _parse_line(line + ";a citation").label == "E_6^0"
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"known_verdict": "DESCEND"}, "E_6^0: bad verdict 'DESCEND'"),
+    ({"equation": "x+z^2+y^3"}, "E_6^0: equation must vanish at the origin with zero linear part"),
+    ({"pic_order": 4}, "E_6^0: stored Picard order 4 disagrees with the classification value 3"),
+], ids=["verdict", "linear_part", "picard_order"])
+def test_validation_names_what_is_wrong(change, message):
+    rec = instantiate("E", 6, 0, 2)
+    _validate(rec)
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        _validate(dataclasses.replace(rec, **change))
+
+
+@pytest.mark.parametrize("args, message", [
+    (("E", 6, 0, 7), "^co-indexed catalog types exist only for p in 2, 3, 5$"),
+    (("A", 3, 1, 2), "^A_n carries no co-index$"),
+])
+def test_instantiate_names_what_does_not_exist(args, message):
+    with pytest.raises(UsageError, match=message):
+        instantiate(*args)

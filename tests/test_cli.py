@@ -604,3 +604,87 @@ def test_traced_runs_find_every_name_the_benchmark_wraps():
     for name in ("parse.calls", "ideals.completions", "gbasis.normal_form_calls",
                  "gbasis.count_calls", "oracle.calls"):
         assert report["layers"][name] > 0, name
+
+
+# -- exit paths that need a catalog or an engine that disagrees ---------------------
+
+def test_tables_exits_1_on_a_stored_length_that_disagrees(capsys, monkeypatch):
+    stored = list(table_records())
+    i = next(i for i, rec in enumerate(stored) if rec.char == 2)
+    stored[i] = dataclasses.replace(stored[i], ref_len_jp=stored[i].ref_len_jp + 1)
+    monkeypatch.setattr(cli.catalog, "table_records", lambda: tuple(stored))
+    code, payload, err = run_json(capsys, "tables", "--char", "2")
+    assert code == 1
+    assert [row["label"] for row in payload["rows"] if not row["match"]] == [stored[i].label]
+    assert payload["all_match"] is False
+    assert [json.loads(line) for line in err.splitlines()] == [{"char": 2, "error": "table mismatch"}]
+
+
+def flipped_records(monkeypatch, label, verdict):
+    """catalog.all_records with the verdict of one record replaced."""
+    real = cli.catalog.all_records
+
+    def flipped(char, max_n):
+        return [dataclasses.replace(rec, known_verdict=verdict) if rec.label == label else rec
+                for rec in real(char, max_n)]
+
+    monkeypatch.setattr(cli.catalog, "all_records", flipped)
+
+
+def test_classify_exits_1_on_a_stored_verdict_that_disagrees(capsys, monkeypatch):
+    # A_1 descends at p = 2 (2 is a p-power); stored as BLOCKED, the
+    # battery still finds DESCENDS, and the row is a mismatch.
+    flipped_records(monkeypatch, "A_1", "BLOCKED")
+    code, payload, err = run_json(capsys, "classify", "--char", "2", "--max-n", "4")
+    assert code == 1
+    assert [(row["label"], row["verdict"], row["stored_verdict"])
+            for row in payload["rows"] if not row["match"]] == [("A_1", "DESCENDS", "BLOCKED")]
+    assert [json.loads(line) for line in err.splitlines()] == \
+        [{"char": 2, "error": "classification mismatch"}]
+
+
+def test_classify_raises_on_descent_stored_for_a_blocked_class(capsys, monkeypatch):
+    # Stored DESCENDS against a failing necessary criterion is a
+    # contradiction in the evidence, not a mismatch to report.
+    flipped_records(monkeypatch, "A_2", "DESCENDS")
+    with pytest.raises(rdpdescent.ConsistencyError, match="contradicts failing necessary criteria"):
+        main(["classify", "--char", "2", "--max-n", "4", "--json"])
+
+
+def test_oracle_exits_1_when_engine_and_oracle_disagree(capsys, monkeypatch):
+    gens = "x^2,y^4+y^2*z,y^3,z^2+x^3+y^5+y^3*z"
+    _, honest, _ = run_json(capsys, "oracle", "--char", "2", "--gens", gens)
+    monkeypatch.setattr(cli, "local_length", lambda ideal, step_cap=None: honest["oracle_length"] + 1)
+    code, payload, err = run_json(capsys, "oracle", "--char", "2", "--gens", gens)
+    assert code == 1
+    assert payload["agree"] is False
+    assert payload["engine_length"] == payload["oracle_length"] + 1
+    assert [json.loads(line) for line in err.splitlines()] == [{"error": "engine and oracle disagree"}]
+
+
+def test_analyze_short_circuit_stops_at_the_length_formula(capsys):
+    # README's E_8^3 example at p = 2: TJURINA passes and LENGTH_FORMULA
+    # fails (lengths 10 and 44), so the battery stops after five reports.
+    code, payload, err = run_json(capsys, "analyze", "--char", "2",
+                                  "--poly", "z^2+x^3+y^5+y^3*z", "--short-circuit")
+    assert code == 1
+    assert [r["id"] for r in payload["criteria"]] == [
+        "AN_P_POWER", "PIC_TORSION_P_GROUP", "PI1_TRIVIAL", "TJURINA_P_DIVISIBLE", "LENGTH_FORMULA"]
+    assert payload["criteria"][-1]["status"] == "FAIL"
+    assert payload["verdict"] == {"outcome": "BLOCKED", "reasons": ["LENGTH_FORMULA"]}
+    assert json.loads(err) == {"reasons": ["LENGTH_FORMULA"], "verdict": "BLOCKED"}
+
+
+@pytest.mark.parametrize("char", ["2", "3"])
+def test_classify_short_circuit_keeps_every_verdict(capsys, char):
+    def verdicts(*flags):
+        code, payload, _ = run_json(capsys, "classify", "--char", char, "--max-n", "12", *flags)
+        return code, [(row["label"], row["verdict"]) for row in payload["rows"]], payload["descending"]
+
+    assert verdicts("--short-circuit") == verdicts()
+
+
+def test_classify_rejects_a_nonpositive_max_n(capsys):
+    code, out, err = run(capsys, "classify", "--char", "2", "--max-n", "0", "--json")
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": "usage error", "message": "max_n must be positive"}

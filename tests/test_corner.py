@@ -134,6 +134,16 @@ def test_corner_keeps_membership_exact():
         assert normal_form(parse_poly(src, ring), basis).is_zero is member, src
 
 
+def test_at_corner_zero_every_term_is_cut_before_any_step():
+    # The unit ideal has corner 0, and m^0 is the whole ring: a normal form
+    # against it keeps no term of f, not even the constant, so it takes no
+    # reduction step and fits a cap of 0.
+    ring = Ring(2, ("x", "y", "z"), LOCAL)
+    basis = complete_basis([parse_poly(s, ring) for s in ("1+x", "y")])
+    assert basis.corner == 0 and [str(g) for g in basis] == ["1"]
+    assert normal_form(parse_poly("1+x+z", ring), basis, step_cap=0).is_zero
+
+
 def test_s_pair_check_reads_the_corner_off_the_basis():
     # (x^2+y^3, x*y, y^5) is not a standard basis: the S-pair of the first
     # two is y^4, outside the leading ideal (x^2, x*y, y^5), whose corner

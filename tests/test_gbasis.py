@@ -368,6 +368,40 @@ def test_product_criterion_reduces_a_pair_whose_tail_products_coincide(monkeypat
     assert standard_monomial_count(b) == truncation_length_oracle(IdealPresentation(gens)) == 3
 
 
+def test_product_criterion_reads_the_leading_tail_terms(monkeypatch):
+    # The tails' leading products coincide (x*y*z both), while their last
+    # terms' products differ (x*y*z^2 against x*y*z^3): a test of the last
+    # tail terms would skip the pair.  Both tails lie below the corner 5,
+    # so no cut hides the difference.
+    r = lring(3)
+    gens = [parse_poly(s, r) for s in ("x+x*z+x*z^2", "y+2*y*z+y*z^3", "z^5")]
+    seen = []
+    real_pair = gbasis._pair
+
+    def logged(f, g):
+        seen.append((f.lm(), g.lm()))
+        return real_pair(f, g)
+
+    monkeypatch.setattr(gbasis, "_pair", logged)
+    b = complete_basis(gens)
+    assert seen == [((1, 0, 0), (0, 1, 0))]
+    assert s_pairs_reduce_to_zero(b)
+    assert standard_monomial_count(b) == truncation_length_oracle(IdealPresentation(gens)) == 5
+
+
+def test_product_criterion_reads_tails_modulo_the_corner():
+    # The corner falls from none to 5 when z^3 + z^3*y^4 enters.  Uncut, its
+    # tail and that of x + x*y^4 give one product, x*y^4*z^3, but both tails
+    # lie at or above 5: modulo m^5 the two are monomials, and their coprime
+    # pair, of lcm x*z^3 below the corner, is skipped with the others.  The
+    # completion forms no S-pair and spends no work.
+    r = lring(3)
+    gens = [parse_poly(s, r) for s in ("x+x*y^4", "y^3", "z^3+z^3*y^4")]
+    b = complete_basis(gens, step_cap=0)
+    assert [str(g) for g in b] == ["x", "y^3", "z^3"] and b.corner == 5
+    assert standard_monomial_count(b) == truncation_length_oracle(IdealPresentation(gens)) == 9
+
+
 def test_pairs_the_product_criterion_skips_are_never_queued(monkeypatch):
     # Every pair of x^2, y^3, z^4 is coprime with no tail, so the update
     # queues none: the completion forms no S-pair and spends no work.
@@ -403,8 +437,8 @@ def test_product_criterion_on_tails_divisible_by_the_lead(monkeypatch):
     guarded = []
     real_criterion = gbasis._product_criterion
 
-    def logged(f, g, lcm, product):
-        skip = real_criterion(f, g, lcm, product)
+    def logged(f, g, lcm, product, corner):
+        skip = real_criterion(f, g, lcm, product, corner)
         guarded.append(lcm == product and not skip)
         return skip
 
@@ -621,10 +655,7 @@ def test_pair_order_is_pinned(monkeypatch, make_gens, pairs, digest):
 def test_reducer_records_stay_fresh(monkeypatch, n, co, p):
     # Every record (ecart, g, e) that the completion hands to the
     # reduction loop holds the ecart of its g and the exponent record of
-    # its leading monomial.  A corner's cut shortens the tails, so a record
-    # kept from before the cut would overstate its ecart.  Below a corner
-    # the reducer choice no longer reads the ecart; the check keeps each
-    # record true to its g.
+    # its leading monomial.
     records = []
     real_reduce = gbasis._reduce
 
@@ -638,6 +669,34 @@ def test_reducer_records_stay_fresh(monkeypatch, n, co, p):
     stale = [r for r in records if (r[0], r[2]) != (r[1].ecart(), r[1].ring.record(r[1].keys[0]))]
     assert records
     assert not stale, f"{len(stale)} of {len(records)} records are stale"
+
+
+@pytest.mark.parametrize("make_gens", [e8_1_bracket_p5_local, e7_1_bracket_p3_local],
+                         ids=["e8_1_bracket_p5_local", "e7_1_bracket_p3_local"])
+def test_a_falling_corner_records_no_element_again(monkeypatch, make_gens):
+    # Each element is stored once, as it entered: the completion builds one
+    # reducer record per element, one for each staircase sweep, however
+    # often the corner falls (from none to 26 for the first ideal, and on
+    # to 14, 13 and 12 for the second), and cuts only where the reduction
+    # loop reads terms.
+    gens = make_gens()
+    records, corners = [], []
+    real_reducer, real_staircase = gbasis._reducer, gbasis._staircase
+
+    def recorded(g):
+        records.append(g)
+        return real_reducer(g)
+
+    def swept(*args):
+        stair = real_staircase(*args)
+        corners.append(stair[1])
+        return stair
+
+    monkeypatch.setattr(gbasis, "_reducer", recorded)
+    monkeypatch.setattr(gbasis, "_staircase", swept)
+    complete_basis(gens)
+    assert corners[0] is None and corners[-1] is not None  # the corner falls
+    assert len(records) == len(corners)
 
 
 # -- the reduction loop against a merge loop ------------------------------------
@@ -662,8 +721,9 @@ def merge_reduce(f, gens, budget, corner=None):
     the reducer multiple that term_mul builds, a merge of |h| + |g| terms.
     The same reducer choice, joins, truncation and charges as `_reduce`:
     Mora's least ecart and joins under the local ordering without a
-    corner, else the first divisor and no joins.  Returns the normal form
-    and the number of Mora joins."""
+    corner, else the first divisor and no joins; with a corner, a reducer
+    is charged for its terms below it.  Returns the normal form and the
+    number of Mora joins."""
     ring = f.ring
     is_global = ring.ordering == GLOBAL
     mora = not is_global and corner is None
@@ -689,7 +749,7 @@ def merge_reduce(f, gens, budget, corner=None):
         if mora and ec > h.ecart():
             reducers.append((h, h.ecart()))
             joins += 1
-        budget.step(len(h.terms), len(g.terms))
+        budget.step(len(h.terms), len(cut_multiple(g, 1, (0,) * ring.nvars, corner).terms))
         c = h.lc() * inv_mod(g.lc(), ring.p) % ring.p
         mult = mono_quot(lm, g.lm())
         h = h - cut_multiple(g, c, mult, corner)

@@ -105,3 +105,9 @@ def test_the_product_criterion_is_decided_in_one_place():
     # The pair update of complete_basis decides it, so a pair it skips is
     # never queued; the pop loop does not test it again.
     assert list(_reads_of(SOURCES["gbasis"], "_product_criterion")) == ["complete_basis.add"]
+
+
+def test_the_completion_cuts_its_elements_only_on_return():
+    # complete_basis stores each element once, uncut; _reduce cuts the
+    # multiples it adds, and only _minimalize cuts whole elements.
+    assert list(_reads_of(SOURCES["gbasis"], "_cut_at")) == ["_minimalize"]
